@@ -82,7 +82,8 @@ class NotConcave(BargtopError):
 
 
 class NonConvergent(BargtopError):
-    """Two successive quadrature orders disagree beyond the tolerance."""
+    """A quadrature oracle gave no trustworthy value: two successive orders
+    disagree beyond the tolerance, or an order gave non-finite entries."""
 
 
 class ParseError(BargtopError):

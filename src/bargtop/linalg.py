@@ -8,10 +8,15 @@ Conventions used across the whole package:
   ``x = u + i v``.
 
 All gates are relative: a matrix counts as singular when its smallest
-singular value drops below ``EPS_SING`` times its spectral norm.
+singular value drops below ``EPS_SING`` times its spectral norm.  Both
+numbers come from one SVD (:func:`gate`).  Self-check residuals, whose
+norms only set the scale of a tolerance, use the Frobenius norm, which is
+within a factor ``sqrt(rank)`` of the spectral norm and costs no SVD.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -23,6 +28,10 @@ EPS_SING = 1e-10
 TOL_SOLVE = 1e-9
 #: relative reconstruction tolerance for eigendecompositions
 TOL_EIG = 1e-9
+#: relative symmetry tolerance of the input of an eigendecomposition
+TOL_SYM = 1e-12
+
+_TINY = np.finfo(float).tiny
 
 
 def as_matrix(m, square: bool = False) -> np.ndarray:
@@ -44,11 +53,48 @@ def spectral_norm(m) -> float:
     return float(np.linalg.norm(m, 2))
 
 
-def smallest_singular_value(m) -> float:
+def gate(m) -> tuple[float, float]:
+    """Smallest and largest singular value of ``m`` from one SVD.
+
+    The largest is the spectral norm, so ``smin < eps * smax`` is the
+    relative singularity gate of the package.
+    """
     m = np.asarray(m)
     if m.size == 0:
-        return 0.0
-    return float(np.linalg.svd(m, compute_uv=False)[-1])
+        return 0.0, 0.0
+    s = np.linalg.svd(m, compute_uv=False)
+    return float(s[-1]), float(s[0])
+
+
+def require_regular(m, eps_sing: float = EPS_SING, error=SingularMatrix, what: str = "matrix"):
+    """Apply the relative singularity gate; return ``(smin, smax)``.
+
+    Raises
+    ------
+    error
+        (``SingularMatrix`` unless given) if ``smin < eps_sing * smax``.
+    """
+    smin, smax = gate(m)
+    if smin < eps_sing * max(smax, _TINY):
+        raise error(f"{what} is singular: smin {smin:.3e} < {eps_sing:g} * smax {smax:.3e}")
+    return smin, smax
+
+
+def frob(m) -> float:
+    """Frobenius norm, the scale of every self-check residual."""
+    m = np.asarray(m)
+    return math.sqrt(float(np.vdot(m, m).real))
+
+
+def block2(a11, a12, a21, a22) -> np.ndarray:
+    """The 2 x 2 block matrix ``[[a11, a12], [a21, a22]]`` of 2-d blocks."""
+    r, c = a11.shape
+    out = np.empty((r + a21.shape[0], c + a12.shape[1]), dtype=np.result_type(a11, a12, a21, a22))
+    out[:r, :c] = a11
+    out[:r, c:] = a12
+    out[r:, :c] = a21
+    out[r:, c:] = a22
+    return out
 
 
 def sym(m) -> np.ndarray:
@@ -63,6 +109,27 @@ def herm(m) -> np.ndarray:
     return 0.5 * (m + m.conj().T)
 
 
+def solve_regular(m: np.ndarray, b) -> np.ndarray:
+    """Solve M X = B for a square ``m`` that has passed its gate.
+
+    Self-check: ``||M X - B||_F <= TOL_SOLVE ||B||_F`` (Frobenius scale).
+
+    Raises
+    ------
+    NumericalFailure
+        If the residual exceeds the tolerance.
+    """
+    b_arr = np.asarray(b, dtype=complex)
+    vector_rhs = b_arr.ndim == 1
+    rhs = b_arr[:, None] if vector_rhs else b_arr
+    if rhs.shape[0] != m.shape[0]:
+        raise ShapeMismatch(f"rhs rows {rhs.shape[0]} != matrix dim {m.shape[0]}")
+    x = np.linalg.solve(m, rhs)
+    if frob(m @ x - rhs) > TOL_SOLVE * frob(rhs):
+        raise NumericalFailure("linear solve residual above tolerance")
+    return x[:, 0] if vector_rhs else x
+
+
 def solve(m, b, eps_sing: float = EPS_SING) -> np.ndarray:
     """Solve M X = B with a relative singularity gate.
 
@@ -72,22 +139,12 @@ def solve(m, b, eps_sing: float = EPS_SING) -> np.ndarray:
         If the smallest singular value of ``M`` is below
         ``eps_sing * norm(M)``.
     NumericalFailure
-        If the residual exceeds ``TOL_SOLVE`` relative to ``norm(B)``.
+        If the residual exceeds ``TOL_SOLVE`` relative to ``norm(B)``
+        (Frobenius norms, see :func:`solve_regular`).
     """
     m = as_matrix(m, square=True)
-    b_arr = np.asarray(b, dtype=complex)
-    vector_rhs = b_arr.ndim == 1
-    rhs = b_arr[:, None] if vector_rhs else b_arr
-    if rhs.shape[0] != m.shape[0]:
-        raise ShapeMismatch(f"rhs rows {rhs.shape[0]} != matrix dim {m.shape[0]}")
-    nm = spectral_norm(m)
-    if smallest_singular_value(m) < eps_sing * max(nm, np.finfo(float).tiny):
-        raise SingularMatrix(f"matrix is singular at relative tolerance {eps_sing:g}")
-    x = np.linalg.solve(m, rhs)
-    nb = spectral_norm(rhs)
-    if nb > 0 and spectral_norm(m @ x - rhs) > TOL_SOLVE * nb:
-        raise NumericalFailure("linear solve residual above tolerance")
-    return x[:, 0] if vector_rhs else x
+    require_regular(m, eps_sing)
+    return solve_regular(m, b)
 
 
 def inv(m, eps_sing: float = EPS_SING) -> np.ndarray:
@@ -111,26 +168,27 @@ def eig_hermitian_real(s, tol: float = TOL_EIG):
     Raises
     ------
     NumericalFailure
-        If ``S`` is not symmetric, or the reconstruction
-        ``V diag(w) V^T`` misses ``S`` by more than ``tol * norm(S)``.
+        If ``S`` is not symmetric (``||S - S^T||_F > TOL_SYM max(||S||_F,
+        1)``), or one of the self-checks fails: the reconstruction
+        ``||V diag(w) V^T - S||_F <= tol max(||S||_F, 1)`` or the
+        orthonormality ``||V^T V - I||_F <= tol``.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
         raise ShapeMismatch(f"expected a square matrix, got shape {s.shape}")
-    ns = spectral_norm(s)
-    if spectral_norm(s - s.T) > 1e-12 * max(ns, 1.0):
+    # self-check scale: Frobenius
+    scale = max(frob(s), 1.0)
+    if frob(s - s.T) > TOL_SYM * scale:
         raise NumericalFailure("matrix is not symmetric")
     w, v = np.linalg.eigh(0.5 * (s + s.T))
-    # deterministic sign: first non-negligible component positive
-    for k in range(v.shape[1]):
-        col = v[:, k]
-        idx = np.nonzero(np.abs(col) > 1e-12)[0]
-        j = idx[0] if idx.size else 0
-        if col[j] < 0:
-            v[:, k] = -col
-    if spectral_norm(v @ np.diag(w) @ v.T - s) > tol * max(ns, 1.0):
+    if v.size:
+        # deterministic sign: first non-negligible component positive
+        first = np.argmax(np.abs(v) > 1e-12, axis=0)
+        flip = v[first, np.arange(v.shape[1])] < 0
+        v[:, flip] = -v[:, flip]
+    if frob((v * w) @ v.T - s) > tol * scale:
         raise NumericalFailure("eigendecomposition reconstruction above tolerance")
-    if spectral_norm(v.T @ v - np.eye(s.shape[0])) > tol:
+    if frob(v.T @ v - np.eye(s.shape[0])) > tol:
         raise NumericalFailure("eigenvectors are not orthonormal")
     return w, v
 
@@ -154,15 +212,11 @@ def schur_block_invert(a, n: int, eps_sing: float = EPS_SING) -> np.ndarray:
     a = as_matrix(a, square=True)
     if a.shape[0] != 2 * n:
         raise ShapeMismatch(f"expected shape {(2 * n, 2 * n)}, got {a.shape}")
-    na = spectral_norm(a)
-    if smallest_singular_value(a) < eps_sing * max(na, np.finfo(float).tiny):
-        raise SingularMatrix("block matrix is singular at the relative gate")
+    _, na = require_regular(a, eps_sing, what="block matrix")
     a11, a12 = a[:n, :n], a[:n, n:]
     a21, a22 = a[n:, :n], a[n:, n:]
-    n11 = spectral_norm(a11)
-    if smallest_singular_value(a11) < eps_sing * max(n11, np.finfo(float).tiny):
-        raise SingularMatrix("leading block A11 is singular at the relative gate")
-    a11_inv = solve(a11, np.eye(n, dtype=complex), eps_sing=eps_sing)
+    require_regular(a11, eps_sing, what="leading block A11")
+    a11_inv = solve_regular(a11, np.eye(n, dtype=complex))
     schur = a22 - a21 @ a11_inv @ a12
     b22 = solve(schur, np.eye(n, dtype=complex), eps_sing=eps_sing)
     b12 = -a11_inv @ a12 @ b22
@@ -181,7 +235,7 @@ def embed_real(n: int) -> np.ndarray:
     real ``r = (u, v)``.
     """
     i = np.eye(n)
-    return np.block([[i, 1j * i], [i, -1j * i]])
+    return block2(i, 1j * i, i, -1j * i)
 
 
 def split_real_linear(t: np.ndarray):

@@ -31,6 +31,7 @@ from .forms import QuadraticSymbol, RealQForm, WeightForm, to_real_coords
 from .pipeline import compute_f
 
 _CHUNK = 200_000  # max quadrature nodes processed at once
+_FOCK_CHUNK = 4096  # quadrature nodes per block of a Fock matrix accumulation
 
 
 @dataclass(frozen=True)
@@ -212,17 +213,27 @@ class FockTruncation:
 
 
 def _monomial_norms(order: int, kmax: int) -> np.ndarray:
-    """Norms ||x^k||, k < kmax, in the model space, by quadrature (not assumed)."""
+    """Norms ||e_k||, k < kmax, in the model space, by quadrature (not assumed).
+
+    ``e_k = x^k / sqrt(2^k k!)`` are the scaled monomials of
+    :func:`_fock_matrix_raw`; every term stays finite at any k.
+    """
     nodes, logw = _tensor_nodes(order, 2)
     xs = math.sqrt(2.0) * (nodes[:, 0] + 1j * nodes[:, 1])  # whitened by chol(I/2)
-    w = np.exp(logw)
-    mods = np.abs(xs) ** 2
+    half_mods = 0.5 * np.abs(xs) ** 2
     out = np.empty(kmax)
-    acc = np.ones_like(mods)
+    acc = np.exp(logw)  # weight times |e_k|^2
     for k in range(kmax):
-        out[k] = 2.0 * float(np.sum(w * acc))  # 1/det chol(I/2) = 2
-        acc = acc * mods
+        if k:
+            acc *= half_mods
+            acc *= 1.0 / k
+        out[k] = 2.0 * float(np.sum(acc))  # 1/det chol(I/2) = 2
     return np.sqrt(out)
+
+
+def _log_scales(kmax: int) -> np.ndarray:
+    """log sqrt(2^k k!), k < kmax: the scale of e_k against x^k."""
+    return np.array([0.5 * (k * math.log(2.0) + math.lgamma(k + 1)) for k in range(kmax)])
 
 
 def _fock_exponent(q: QuadraticSymbol):
@@ -232,21 +243,44 @@ def _fock_exponent(q: QuadraticSymbol):
 
 
 def _fock_matrix_raw(q: QuadraticSymbol, nbasis: int, order: int) -> np.ndarray:
-    """Entries <e^q x^k, x^j> (unnormalized) on the model space, n = 1."""
+    """Entries <e^q e_k, e_j> on the model space, n = 1.
+
+    ``e_k = x^k / sqrt(2^k k!)`` is built by the recurrence
+    ``e_k = e_{k-1} x / sqrt(2k)``, which keeps every row finite, and the
+    sum over the nodes runs in blocks of ``_FOCK_CHUNK``.
+
+    Raises
+    ------
+    NonConvergent
+        If an entry is not finite.
+    """
     s_c, l_c, c_c = _fock_exponent(q)
     r_star, linv_t, resid, g_tilde, e_star, el = _standardize(s_c, l_c)
     nodes, logw = _tensor_nodes(order, 2)
-    rs = r_star[None, :] + nodes @ linv_t.T
-    xs = rs[:, 0] + 1j * rs[:, 1]
-    phase = np.einsum("pi,ij,pj->p", nodes, resid, nodes) + nodes @ g_tilde
-    coeff = np.exp(logw + phase)
-    v = np.empty((nbasis, xs.shape[0]), dtype=complex)
-    v[0] = 1.0
-    for k in range(1, nbasis):
-        v[k] = v[k - 1] * xs
-    raw = (v.conj() * coeff[None, :]) @ v.T
+    step = 1.0 / np.sqrt(2.0 * np.arange(1, nbasis))
+    raw = np.zeros((nbasis, nbasis), dtype=complex)
+    # rows e_k and conj(e_k) * weight over one block, reused block after block
+    e_buf = np.empty((nbasis, _FOCK_CHUNK), dtype=complex)
+    w_buf = np.empty_like(e_buf)
+    for start in range(0, nodes.shape[0], _FOCK_CHUNK):
+        s = nodes[start : start + _FOCK_CHUNK]
+        rs = r_star[None, :] + s @ linv_t.T
+        xs = rs[:, 0] + 1j * rs[:, 1]
+        phase = np.einsum("pi,ij,pj->p", s, resid, s) + s @ g_tilde
+        coeff = np.exp(logw[start : start + _FOCK_CHUNK] + phase)
+        e, ew = e_buf[:, : xs.shape[0]], w_buf[:, : xs.shape[0]]
+        e[0] = 1.0
+        for k in range(1, nbasis):
+            np.multiply(e[k - 1], xs, out=e[k])
+            e[k] *= step[k - 1]
+        np.conjugate(e, out=ew)
+        ew *= coeff
+        raw += ew @ e.T
     logdet = float(np.sum(np.log(np.diag(el))))
-    return raw * np.exp(e_star + c_c - logdet)
+    raw *= np.exp(e_star + c_c - logdet)
+    if not np.all(np.isfinite(raw)):
+        raise NonConvergent(f"order {order} gives non-finite Fock matrix entries")
+    return raw
 
 
 def fock_matrix(q: QuadraticSymbol, nbasis: int, spec: QuadratureSpec = QuadratureSpec(order=60)) -> FockTruncation:
@@ -257,11 +291,14 @@ def fock_matrix(q: QuadraticSymbol, nbasis: int, spec: QuadratureSpec = Quadratu
     themselves computed by quadrature and checked against the closed
     Gaussian moments ``nu_k^2 = pi 2^(k+1) k!``.
 
+    The entries are computed on the scaled monomials ``x^k / sqrt(2^k k!)``
+    and rescaled by their quadrature norms, so no power of x is formed.
+
     Raises
     ------
     NonConvergent
-        If two successive orders disagree in Frobenius norm, or the basis
-        norms miss the closed moments.
+        If two successive orders disagree in Frobenius norm, an order gives
+        non-finite entries, or the basis norms miss the closed moments.
     """
     if q.n != 1:
         raise PreconditionViolated("truncated matrices are implemented for n = 1")
@@ -272,10 +309,8 @@ def fock_matrix(q: QuadraticSymbol, nbasis: int, spec: QuadratureSpec = Quadratu
     if order > 360:
         raise NonConvergent("oscillation exceeds the node budget at the requested accuracy")
     norms = _monomial_norms(order, nbasis)
-    closed = np.array(
-        [math.pi * 2.0 ** (k + 1) * math.factorial(k) for k in range(nbasis)]
-    )
-    if np.max(np.abs(norms**2 - closed) / closed) > spec.rel_tol:
+    # nu_k^2 / (pi 2^(k+1) k!) = ||e_k||^2 / (2 pi), with nu_k = ||x^k||
+    if not np.max(np.abs(norms**2 / (2.0 * math.pi) - 1.0)) <= spec.rel_tol:
         raise NonConvergent("basis norms disagree with the closed Gaussian moments")
     scale = np.outer(norms, norms)
     while True:
@@ -283,7 +318,8 @@ def fock_matrix(q: QuadraticSymbol, nbasis: int, spec: QuadratureSpec = Quadratu
         diff = float(np.linalg.norm(mats[0] - mats[1]))
         ref = max(float(np.linalg.norm(mats[1])), np.finfo(float).tiny)
         if diff <= spec.rel_tol * ref:
-            return FockTruncation(nbasis, mats[1], norms, order + 12)
+            basis_norms = norms * np.exp(_log_scales(nbasis))
+            return FockTruncation(nbasis, mats[1], basis_norms, order + 12)
         if 2 * order > 360:
             raise NonConvergent(
                 f"orders {order} and {order + 12} disagree by {diff / ref:.2e}"
@@ -354,9 +390,13 @@ def coherent_exponent_form(phi0: WeightForm, q: QuadraticSymbol) -> RealQForm:
 
 def growth_direction(phi0: WeightForm, q: QuadraticSymbol):
     """Unit direction maximizing the quadratic growth rate of E, and the rate."""
-    form = coherent_exponent_form(phi0, q)
+    return _top_direction(coherent_exponent_form(phi0, q))
+
+
+def _top_direction(form: RealQForm):
+    """Unit complex direction of the largest eigenvalue of ``form.s``, and that eigenvalue."""
     w, v = linalg.eig_hermitian_real(form.s)
-    n = phi0.n
+    n = form.dim // 2
     top = v[:, -1]
     return top[:n] + 1j * top[n:], float(w[-1])
 
@@ -370,7 +410,7 @@ def coherent_growth_scan(phi0: WeightForm, q: QuadraticSymbol, direction=None, r
     """
     form = coherent_exponent_form(phi0, q)
     if direction is None:
-        direction, _ = growth_direction(phi0, q)
+        direction, _ = _top_direction(form)
     w0 = np.asarray(direction, dtype=complex).reshape(-1)
     out = []
     for t in radii:

@@ -34,6 +34,7 @@ from .forms import (
     hermitian_reduction,
     polarize_weight,
     to_real_coords,
+    trusted,
     validate_instance,
 )
 from .stationary import QuadCriticalProblem, critical_value
@@ -104,15 +105,12 @@ class Analysis:
     symbol: QuadraticSymbol
     validation: ValidationReport
     reduced: WeightForm
-    kappa_shear: AffineSymplecticMap
     f: HoloQuadratic2n
     weyl: WeylPhase
     kappa: AffineSymplecticMap
     kappa_q: AffineSymplecticMap
     m_l: LinearFunctional2n
     kappa_tilde: AffineSymplecticMap
-    kappa_f: AffineSymplecticMap
-    fundamental: np.ndarray
     phi1: WeightForm | None
     positivity: PositivityResult
     kernel: np.ndarray
@@ -142,23 +140,21 @@ def compute_f(phi0: WeightForm, q: QuadraticSymbol) -> HoloQuadratic2n:
     n = phi0.n
     h = phi0.H
     ht = psi0.mxz  # H^T
-    m = np.block(
-        [
-            [q.qyy, q.qyt - 2.0 * ht],
-            [q.qyt.T - 2.0 * ht.T, q.qtt],
-        ]
-    )
+    m = linalg.block2(q.qyy, q.qyt - 2.0 * ht, q.qyt.T - 2.0 * ht.T, q.qtt)
     z = np.zeros((n, n), dtype=complex)
-    lmap = np.block([[z, 2.0 * ht], [2.0 * h, z]])
+    lmap = linalg.block2(z, 2.0 * ht, 2.0 * h, z)
     prob = QuadCriticalProblem(m, lmap, np.concatenate([q.a, q.b]), q.q0)
     vc = critical_value(prob)
-    f = HoloQuadratic2n(
-        0.5 * vc.mxx, 0.5 * vc.mxz, 0.5 * vc.mzz, 0.5 * vc.lx, 0.5 * vc.lz, 0.5 * vc.c0
+    f = trusted(
+        HoloQuadratic2n,
+        mxx=0.5 * vc.mxx,
+        mxz=0.5 * vc.mxz,
+        mzz=0.5 * vc.mzz,
+        lx=0.5 * vc.lx,
+        lz=0.5 * vc.lz,
+        c0=0.5 * vc.c0,
     )
-    if linalg.smallest_singular_value(f.mxz) < linalg.EPS_SING * max(
-        linalg.spectral_norm(f.mxz), np.finfo(float).tiny
-    ):
-        raise DegenerateFxz("mixed block of the kernel phase is singular")
+    linalg.require_regular(f.mxz, linalg.EPS_SING, DegenerateFxz, "mixed block of the kernel phase")
     return f
 
 
@@ -177,21 +173,17 @@ def compute_weyl_phase(phi0: WeightForm, q: QuadraticSymbol) -> WeylPhase:
     n = phi0.n
     h = phi0.H
     ht = psi0.mxz
-    m = np.block(
-        [
-            [q.qyy, q.qyt - 4.0 * ht],
-            [q.qyt.T - 4.0 * ht.T, q.qtt],
-        ]
-    )
+    m = linalg.block2(q.qyy, q.qyt - 4.0 * ht, q.qyt.T - 4.0 * ht.T, q.qtt)
     z = np.zeros((n, n), dtype=complex)
     eye = np.eye(n, dtype=complex)
-    lmap = np.block([[z, 2j * eye], [4.0 * h, z]])
+    lmap = linalg.block2(z, 2j * eye, 4.0 * h, z)
     prob = QuadCriticalProblem(m, lmap, np.concatenate([q.a, q.b]), q.q0)
     vc = critical_value(prob)
     fxx = -1j * vc.mxx
     fxxi = -1j * vc.mxz - 2.0 * eye
     fxixi = -1j * vc.mzz
-    fquad = HoloQuadratic2n(fxx, fxxi, fxixi, np.zeros(n), np.zeros(n), 0.0)
+    zv = np.zeros(n, dtype=complex)
+    fquad = trusted(HoloQuadratic2n, mxx=fxx, mxz=fxxi, mzz=fxixi, lx=zv, lz=zv, c0=0j)
     alpha = LinearFunctional2n(-1j * vc.lx, -1j * vc.lz)
     return WeylPhase(fquad, alpha)
 
@@ -207,20 +199,23 @@ def analyze(phi0: WeightForm, q: QuadraticSymbol, tau: float = TAU_DEFAULT) -> A
     report = validate_instance(phi0, q)
     if not report.ok:
         raise AssumptionViolated(report.failed(), report)
-    reduced, kappa_shear = hermitian_reduction(phi0)
+    reduced, _ = hermitian_reduction(phi0)
     f = compute_f(reduced, q)
     kappa, kappa_q, m_l = build_kappa(f, reduced)
     weyl = compute_weyl_phase(reduced, q)
-    kappa_tilde, kappa_f, fund = build_kappa_tilde(weyl.F, weyl.alpha)
+    kappa_tilde, _, _ = build_kappa_tilde(weyl.F, weyl.alpha)
     if not kappa.isclose(kappa_tilde, tol=1e-9):
         raise NumericalFailure("kernel-phase and symbol-phase maps disagree")
 
+    # the validated reduced weight has H > 0 and S = 0, so its graph plane
+    # is I-Lagrangian and R-symplectic without re-proving it
+    plane = trusted(LagrangianPlane, phi=reduced, basis=reduced.graph_basis())
     try:
-        phi1 = image_plane(kappa_q, reduced)
+        phi1 = image_plane(kappa_q, reduced, plane=plane)
     except NotAGraph:
         phi1 = None
 
-    pos = positivity_class(weyl.F, reduced, tau)
+    pos = positivity_class(weyl.F, reduced, tau, plane=plane)
     margins = {
         "strict_psh": report.strict_psh_margin,
         "majorization": report.majorization_margin,
@@ -230,7 +225,7 @@ def analyze(phi0: WeightForm, q: QuadraticSymbol, tau: float = TAU_DEFAULT) -> A
     }
     if pos.classification in (Positivity.POSITIVE, Positivity.STRICTLY_POSITIVE):
         kernel, vanishes, alpha_margin = intersection_kernel(
-            weyl.F, weyl.alpha, reduced, tau, positivity=pos
+            weyl.F, weyl.alpha, reduced, tau, positivity=pos, plane=plane
         )
     else:
         kernel = np.zeros((2 * reduced.n, 0))
@@ -255,15 +250,12 @@ def analyze(phi0: WeightForm, q: QuadraticSymbol, tau: float = TAU_DEFAULT) -> A
         symbol=q,
         validation=report,
         reduced=reduced,
-        kappa_shear=kappa_shear,
         f=f,
         weyl=weyl,
         kappa=kappa,
         kappa_q=kappa_q,
         m_l=m_l,
         kappa_tilde=kappa_tilde,
-        kappa_f=kappa_f,
-        fundamental=fund,
         phi1=phi1,
         positivity=pos,
         kernel=kernel,
@@ -285,12 +277,6 @@ def decide_compactness(phi0: WeightForm, q: QuadraticSymbol, tau: float = TAU_DE
     """Decide whether the Toeplitz operator of exp(q) is compact."""
     a = analyze(phi0, q, tau)
     return Decision(a.compact, a.positivity.classification, a.kernel_dim, a.linear_vanishes, a.margins)
-
-
-def symbol_log_modulus(analysis: Analysis, x) -> float:
-    """-Im(F + alpha) at the plane point over x: log |a| up to a constant."""
-    plane = LagrangianPlane(analysis.reduced)
-    return float(-analysis.weyl.value(plane.point(x)).imag)
 
 
 def coherent_norm_exponent(f: HoloQuadratic2n, phi0: WeightForm, w) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegeneratePhase, NumericalFailure, ShapeMismatch
-from .forms import HoloQuadratic2n, QuadraticSymbol
+from .forms import HoloQuadratic2n, QuadraticSymbol, trusted
 
 
 @dataclass(frozen=True)
@@ -48,7 +48,8 @@ class QuadCriticalProblem:
 
     def __post_init__(self):
         m = linalg.as_matrix(self.m, square=True)
-        if linalg.spectral_norm(m - m.T) > 1e-12 * max(linalg.spectral_norm(m), 1.0):
+        # symmetry self-check, Frobenius scale
+        if linalg.frob(m - m.T) > 1e-12 * max(linalg.frob(m), 1.0):
             raise ShapeMismatch("Hessian must be symmetric")
         lmap = linalg.as_matrix(self.lmap)
         if lmap.shape[0] != m.shape[0]:
@@ -86,30 +87,33 @@ def critical_value(prob: QuadCriticalProblem, eps_sing: float = linalg.EPS_SING)
         If the Hessian fails the relative singular-value gate.
     """
     m = prob.m
-    nm = linalg.spectral_norm(m)
-    if linalg.smallest_singular_value(m) < eps_sing * max(nm, np.finfo(float).tiny):
-        raise DegeneratePhase("quadratic phase is degenerate")
+    _, nm = linalg.require_regular(m, eps_sing, DegeneratePhase, "quadratic phase")
     if prob.lmap.shape[1] % 2:
         raise ShapeMismatch("parameter dimension must be even")
     minv_l = np.linalg.solve(m, prob.lmap)
     minv_r = np.linalg.solve(m, prob.r0)
+
+    # the critical point w*(p) = -M^-1 (L p + r0) annihilates the gradient
+    # for every p iff M (M^-1 L) = L and M (M^-1 r0) = r0: two residuals
+    # cover all p at once (Frobenius scale)
+    resid = linalg.frob(m @ minv_l - prob.lmap) + linalg.frob(m @ minv_r - prob.r0)
+    size = max(1.0, linalg.frob(minv_l) + linalg.frob(minv_r))
+    if resid > 1e-10 * max(nm, linalg.frob(prob.r0), 1.0) * size:
+        raise NumericalFailure("critical point fails the gradient condition")
+
     quad = linalg.sym(-prob.lmap.T @ minv_l)
     lin = -prob.lmap.T @ minv_r
     const = prob.c0 - 0.5 * prob.r0 @ minv_r
-    out = HoloQuadratic2n.from_hessian(quad, lin, const)
-
-    # verify the reconstructed critical point annihilates the gradient
-    rng = np.random.default_rng(1)
-    dim_p = prob.lmap.shape[1]
-    scale = max(nm, float(np.linalg.norm(prob.r0)), 1.0)
-    for _ in range(5):
-        p = rng.standard_normal(dim_p) + 1j * rng.standard_normal(dim_p)
-        w_star = -np.linalg.solve(m, prob.lmap @ p + prob.r0)
-        if np.linalg.norm(prob.gradient_w(w_star, p)) > 1e-10 * scale * max(
-            1.0, float(np.linalg.norm(w_star))
-        ):
-            raise NumericalFailure("critical point fails the gradient condition")
-    return out
+    k = quad.shape[0] // 2
+    return trusted(
+        HoloQuadratic2n,
+        mxx=linalg.sym(quad[:k, :k]),
+        mxz=quad[:k, k:],
+        mzz=linalg.sym(quad[k:, k:]),
+        lx=lin[:k],
+        lz=lin[k:],
+        c0=complex(const),
+    )
 
 
 def nondegeneracy_check(q: QuadraticSymbol, psi0: HoloQuadratic2n, s: int):
@@ -131,6 +135,6 @@ def nondegeneracy_check(q: QuadraticSymbol, psi0: HoloQuadratic2n, s: int):
             [q.qyt.T - s * ht.T, q.qtt],
         ]
     )
-    smin = linalg.smallest_singular_value(hess)
-    ok = smin >= linalg.EPS_SING * max(linalg.spectral_norm(hess), np.finfo(float).tiny)
+    smin, smax = linalg.gate(hess)
+    ok = smin >= linalg.EPS_SING * max(smax, np.finfo(float).tiny)
     return ok, smin

@@ -11,6 +11,9 @@ A weight ``Phi`` determines the graph plane
 
 which is I-Lagrangian and R-symplectic.  Planes are stored with a cached
 realified basis so that every restriction goes through one parameterization.
+
+Maps and planes that callers build are checked by their constructors; the
+ones built here from checked inputs use :func:`bargtop.forms.trusted`.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .errors import (
     PreconditionViolated,
     ShapeMismatch,
 )
-from .forms import HoloQuadratic2n, WeightForm
+from .forms import HoloQuadratic2n, WeightForm, trusted
 
 #: relative tolerance band for all strict-inequality classifications
 TAU_DEFAULT = 1e-9
@@ -42,7 +45,7 @@ ZERO_FLOOR = 1e-12
 def symplectic_j(n: int) -> np.ndarray:
     i = np.eye(n, dtype=complex)
     z = np.zeros((n, n), dtype=complex)
-    return np.block([[z, i], [-i, z]])
+    return linalg.block2(z, i, -i, z)
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,10 @@ class AffineSymplecticMap:
         t = np.asarray(self.t, dtype=complex).reshape(-1)
         if t.shape[0] != m.shape[0]:
             raise ShapeMismatch("translation length must match the linear part")
+        # symplectic-defect self-check, Frobenius scale
         j = symplectic_j(m.shape[0] // 2)
-        defect = linalg.spectral_norm(m.T @ j @ m - j)
-        if defect > 1e-10 * linalg.spectral_norm(m) ** 2:
+        defect = linalg.frob(m.T @ j @ m - j)
+        if defect > 1e-10 * linalg.frob(m) ** 2:
             raise NumericalFailure(f"linear part is not symplectic (defect {defect:.2e})")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "t", t)
@@ -76,7 +80,7 @@ class AffineSymplecticMap:
 
     @property
     def is_linear(self) -> bool:
-        return float(np.linalg.norm(self.t)) <= 1e-14 * max(linalg.spectral_norm(self.m), 1.0)
+        return linalg.frob(self.t) <= 1e-14 * max(linalg.frob(self.m), 1.0)
 
     def apply(self, rho) -> np.ndarray:
         return self.m @ np.asarray(rho, dtype=complex) + self.t
@@ -90,11 +94,12 @@ class AffineSymplecticMap:
         return AffineSymplecticMap(minv, -minv @ self.t)
 
     def isclose(self, other: "AffineSymplecticMap", tol: float = 1e-9) -> bool:
-        scale_m = max(linalg.spectral_norm(self.m), linalg.spectral_norm(other.m), 1.0)
-        scale_t = max(float(np.linalg.norm(self.t)), float(np.linalg.norm(other.t)), 1.0)
+        """Agreement of linear parts and translations, relative, Frobenius scale."""
+        scale_m = max(linalg.frob(self.m), linalg.frob(other.m), 1.0)
+        scale_t = max(linalg.frob(self.t), linalg.frob(other.t), 1.0)
         return (
-            linalg.spectral_norm(self.m - other.m) <= tol * scale_m
-            and float(np.linalg.norm(self.t - other.t)) <= tol * scale_t
+            linalg.frob(self.m - other.m) <= tol * scale_m
+            and linalg.frob(self.t - other.t) <= tol * scale_t
         )
 
 
@@ -154,21 +159,17 @@ class LagrangianPlane:
 
     def __post_init__(self):
         if self.basis is None:
-            n = self.phi.n
-            h, s = self.phi.H, self.phi.S
-            i = np.eye(n, dtype=complex)
-            top = np.hstack([i, 1j * i])
-            bottom = np.hstack([-2j * (h.T + s), 2.0 * (s - h.T)])
-            object.__setattr__(self, "basis", np.vstack([top, bottom]))
+            object.__setattr__(self, "basis", self.phi.graph_basis())
         b = linalg.as_matrix(self.basis)
         # I-Lagrangian and R-symplectic: sigma restricted to the realified
         # tangent space is real and non-degenerate
         j = symplectic_j(self.phi.n)
         gram = b.T @ j @ b
-        scale = max(linalg.spectral_norm(gram), 1.0)
-        if linalg.spectral_norm(gram.imag) > 1e-10 * scale:
+        smin, smax = linalg.gate(gram.real)
+        scale = max(smax, 1.0)
+        if linalg.frob(gram.imag) > 1e-10 * scale:
             raise NumericalFailure("plane is not I-Lagrangian")
-        if linalg.smallest_singular_value(gram.real) < 1e-10 * scale:
+        if smin < 1e-10 * scale:
             raise NumericalFailure("restricted symplectic form is degenerate")
 
     @property
@@ -244,35 +245,33 @@ def build_kappa(f: HoloQuadratic2n, phi0: WeightForm, eps_sing: float = linalg.E
         raise ShapeMismatch("phase and weight dimensions differ")
     h = phi0.H
     g = f.mxz.T  # mixed block, rows z / cols x
-    if linalg.smallest_singular_value(g) < eps_sing * max(
-        linalg.spectral_norm(g), np.finfo(float).tiny
-    ):
-        raise DegenerateFxz("mixed block of the kernel phase is singular")
+    # one gate for every solve against g below
+    linalg.require_regular(g, eps_sing, DegenerateFxz, "mixed block of the kernel phase")
 
     ht_inv = linalg.inv(h.T, eps_sing=eps_sing)
-    k11 = linalg.solve(g, h)  # x from y
-    k12 = -0.5j * linalg.solve(g, f.mzz @ ht_inv)  # x from eta
-    top = np.hstack([k11, k12])
-    bottom = np.hstack([-2j * (f.mxx @ k11), -2j * (f.mxx @ k12) + f.mxz @ ht_inv])
-    mq = np.vstack([top, bottom])
+    # x solves g x = H y - mzz z - lz; its three parts at once
+    sol = linalg.solve_regular(g, np.hstack([h, -f.mzz, -f.lz[:, None]]))
+    k11 = sol[:, :n]  # x from y
+    x_z = sol[:, n : 2 * n]  # x from z
+    x_0 = sol[:, 2 * n]  # x at y = z = 0
+    k12 = 0.5j * (x_z @ ht_inv)  # x from eta = -2i H^T z
+    mq = linalg.block2(k11, k12, -2j * (f.mxx @ k11), -2j * (f.mxx @ k12) + f.mxz @ ht_inv)
     kappa_q = AffineSymplecticMap(mq, np.zeros(2 * n, dtype=complex))
 
-    g_inv_lz = linalg.solve(g, f.lz)
-    m_l = LinearFunctional2n(-2j * (f.mxx @ g_inv_lz - f.lx), -g_inv_lz)
-    kappa = AffineSymplecticMap(mq, m_l.hamilton())
+    m_l = LinearFunctional2n(2j * (f.mxx @ x_0 + f.lx), x_0)
+    kappa = trusted(AffineSymplecticMap, m=mq, t=m_l.hamilton())
 
-    # cross-check the assembled affine map against direct evaluation
-    rng = np.random.default_rng(2)
-    for _ in range(5):
-        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        x = linalg.solve(g, h @ y - f.mzz @ z - f.lz)
-        xi = -2j * (f.mxx @ x + f.mxz @ z + f.lx)
-        src = np.concatenate([y, -2j * (h.T @ z)])
-        dst = np.concatenate([x, xi])
-        err = np.linalg.norm(kappa.apply(src) - dst)
-        if err > 1e-9 * max(1.0, float(np.linalg.norm(dst))):
-            raise NumericalFailure("affine map disagrees with direct evaluation")
+    # cross-check the assembled affine map against direct evaluation: it
+    # is affine, so it suffices to compare the images of y = e_j, of
+    # z = e_j (eta = -2i H^T e_j) and of the origin; Frobenius scale
+    zero = np.zeros((n, n), dtype=complex)
+    src = linalg.block2(np.eye(n, dtype=complex), zero, zero, -2j * h.T)
+    image = np.hstack([mq @ src, kappa.t[:, None]])
+    xi = -2j * (f.mxx @ sol + np.hstack([zero, f.mxz, f.lx[:, None]]))
+    dst = np.vstack([sol, xi])
+    err = linalg.frob(image - dst)
+    if err > 1e-9 * max(1.0, linalg.frob(dst)):
+        raise NumericalFailure("affine map disagrees with direct evaluation")
     return kappa, kappa_q, m_l
 
 
@@ -304,35 +303,38 @@ def build_kappa_tilde(
     n = fquad.n
     if alpha.n != n:
         raise ShapeMismatch("quadratic and linear phase dimensions differ")
-    if float(np.linalg.norm(fquad.linear())) > 1e-12 * max(
-        linalg.spectral_norm(fquad.hessian()), 1.0
-    ):
+    hess = fquad.hessian()
+    # precondition on a scale only: Frobenius
+    if linalg.frob(fquad.linear()) > 1e-12 * max(linalg.frob(hess), 1.0):
         raise PreconditionViolated("quadratic part must have no linear terms")
     j = symplectic_j(n)
-    fund = j @ fquad.hessian()
+    fund = j @ hess
     eye = np.eye(2 * n, dtype=complex)
     plus = eye + 0.5 * fund
     minus = eye - 0.5 * fund
     for gate in (plus, minus):
-        if linalg.smallest_singular_value(gate) < eps_sing * max(
-            linalg.spectral_norm(gate), np.finfo(float).tiny
-        ):
-            raise NotBijective("Cayley gate det(1 +/- G/2) failed")
+        linalg.require_regular(gate, eps_sing, NotBijective, "Cayley gate 1 +/- G/2")
     mf = np.linalg.solve(plus.T, minus.T).T  # (1 - G/2)(1 + G/2)^{-1}
     kappa_f = AffineSymplecticMap(mf, np.zeros(2 * n, dtype=complex))
     g_comp = np.linalg.solve(mf.T, alpha.vector())  # alpha o kappa_F^{-1}
     t = -0.5 * (j @ (g_comp + alpha.vector()))
-    kappa_tilde = AffineSymplecticMap(mf, t)
+    kappa_tilde = trusted(AffineSymplecticMap, m=mf, t=t)
     return kappa_tilde, kappa_f, fund
 
 
-def image_plane(kappa_q: AffineSymplecticMap, phi0: WeightForm, eps_sing: float = linalg.EPS_SING) -> WeightForm:
+def image_plane(
+    kappa_q: AffineSymplecticMap,
+    phi0: WeightForm,
+    eps_sing: float = linalg.EPS_SING,
+    plane: LagrangianPlane | None = None,
+) -> WeightForm:
     """Weight of the image plane kappa_q(Lambda_phi0).
 
     The image of a graph plane under a linear canonical map is again
     I-Lagrangian and R-symplectic; when it projects bijectively onto the
     base variables it is the graph plane of a (possibly indefinite) weight,
-    which is returned.
+    which is returned.  ``plane`` is the graph plane of ``phi0``, when the
+    caller has it already.
 
     Raises
     ------
@@ -344,31 +346,27 @@ def image_plane(kappa_q: AffineSymplecticMap, phi0: WeightForm, eps_sing: float 
     if not kappa_q.is_linear:
         raise PreconditionViolated("image_plane expects a linear map")
     n = phi0.n
-    plane = LagrangianPlane(phi0)
+    plane = plane if plane is not None else LagrangianPlane(phi0)
     v = kappa_q.m @ plane.basis
     x_part, xi_part = v[:n], v[n:]
     x_real = np.vstack([x_part.real, x_part.imag])
-    if linalg.smallest_singular_value(x_real) < eps_sing * max(
-        linalg.spectral_norm(x_real), np.finfo(float).tiny
-    ):
-        raise NotAGraph("image plane does not project onto the base variables")
+    linalg.require_regular(x_real, eps_sing, NotAGraph, "base projection of the image plane")
     t_map = xi_part @ np.linalg.inv(x_real)  # xi as a real-linear map of x
     p, nmat = linalg.split_real_linear(t_map)
     s1 = 0.5j * p
     h1 = (0.5j * nmat).T
-    scale = max(linalg.spectral_norm(h1), linalg.spectral_norm(s1), 1.0)
-    if linalg.spectral_norm(h1 - h1.conj().T) > 1e-8 * scale:
+    # self-checks, Frobenius scale
+    scale = max(linalg.frob(h1), linalg.frob(s1), 1.0)
+    if linalg.frob(h1 - h1.conj().T) > 1e-8 * scale:
         raise NumericalFailure("image plane is not the graph of a real weight")
-    if linalg.spectral_norm(s1 - s1.T) > 1e-8 * scale:
+    if linalg.frob(s1 - s1.T) > 1e-8 * scale:
         raise NumericalFailure("image plane pluriharmonic part is not symmetric")
-    phi1 = WeightForm(linalg.herm(h1), linalg.sym(s1))
-    # plane equality check on the realified basis
-    img_plane = LagrangianPlane(phi1)
-    for col in range(2 * n):
-        x = v[:n, col]
-        expected = img_plane.point(x)
-        if np.linalg.norm(v[:, col] - expected) > 1e-8 * max(1.0, float(np.linalg.norm(expected))):
-            raise NumericalFailure("image basis point is not on the reconstructed plane")
+    phi1 = trusted(WeightForm, H=linalg.herm(h1), S=linalg.sym(s1))
+    # plane equality check on the realified basis: the image points must be
+    # (x, -2i dPhi1/dx(x)) over their own base points x
+    expected = -2j * (phi1.H.T @ x_part.conj() + phi1.S @ x_part)
+    if linalg.frob(xi_part - expected) > 1e-8 * max(1.0, linalg.frob(v)):
+        raise NumericalFailure("image basis point is not on the reconstructed plane")
     return phi1
 
 
@@ -376,6 +374,7 @@ def positivity_class(
     fquad: HoloQuadratic2n,
     phi0: WeightForm,
     tau: float = TAU_DEFAULT,
+    plane: LagrangianPlane | None = None,
 ) -> PositivityResult:
     """Classify Im F restricted to the graph plane of ``phi0``.
 
@@ -384,16 +383,18 @@ def positivity_class(
     floor of the restriction (eigenvalues inside count as exact zeros), and
     ``tau_band = tau * norm``, the user tolerance.  Eigenvalues falling
     between the two bands make the strict inequalities undecidable and the
-    classification ``MARGINAL``.
+    classification ``MARGINAL``.  Both bands use spectral norms; that of
+    the symmetric restriction is its largest eigenvalue modulus.
+    ``plane`` is the graph plane of ``phi0``, when the caller has it.
     """
-    plane = LagrangianPlane(phi0)
+    plane = plane if plane is not None else LagrangianPlane(phi0)
     c = plane.restrict_quadratic(fquad)
     g = c.imag
     g = 0.5 * (g + g.T)
     w, vecs = linalg.eig_hermitian_real(g)
     ref = linalg.spectral_norm(c)
     zero_band = ZERO_FLOOR * ref
-    tau_band = tau * linalg.spectral_norm(g)
+    tau_band = tau * max(abs(float(w[0])), abs(float(w[-1])))
     band = max(zero_band, tau_band)
     lam_min = float(w[0])
 
@@ -418,6 +419,7 @@ def intersection_kernel(
     phi0: WeightForm,
     tau: float = TAU_DEFAULT,
     positivity: PositivityResult | None = None,
+    plane: LagrangianPlane | None = None,
 ):
     """Kernel of Im F on the graph plane and the vanishing test for alpha.
 
@@ -425,24 +427,27 @@ def intersection_kernel(
     spans the zero set of Im F restricted to the plane (realified
     coordinates), ``vanishes`` says whether Im alpha is zero on every
     kernel vector at relative tolerance ``tau``, and ``rel_margin`` is the
-    largest relative violation.
+    largest relative violation.  ``positivity`` and ``plane`` are the
+    classification and the graph plane of ``phi0``, when the caller has
+    them.
 
     Raises
     ------
     PreconditionViolated
         When the restriction is not positive semi-definite.
     """
-    pos = positivity if positivity is not None else positivity_class(fquad, phi0, tau)
+    plane = plane if plane is not None else LagrangianPlane(phi0)
+    pos = positivity if positivity is not None else positivity_class(fquad, phi0, tau, plane)
     if pos.classification not in (Positivity.POSITIVE, Positivity.STRICTLY_POSITIVE):
         raise PreconditionViolated("intersection kernel requires a positive restriction")
     kernel = pos.kernel() if pos.classification is Positivity.POSITIVE else np.zeros(
         (2 * phi0.n, 0)
     )
-    plane = LagrangianPlane(phi0)
-    g = plane.restrict_linear(alpha).imag
-    scale = max(float(np.linalg.norm(plane.restrict_linear(alpha))), np.finfo(float).tiny)
     if kernel.shape[1] == 0:
         return kernel, True, 0.0
+    restricted = plane.restrict_linear(alpha)
+    g = restricted.imag
+    scale = max(float(np.linalg.norm(restricted)), np.finfo(float).tiny)
     values = g @ kernel
     rel_margin = float(np.max(np.abs(values)) / scale) if alpha.norm() > 0 else 0.0
     return kernel, bool(rel_margin <= tau), rel_margin

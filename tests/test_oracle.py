@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from bargtop import (
     operator_norm_scan,
     weyl_symbol_quadrature,
 )
+from bargtop import oracle
 from bargtop.oracle import growth_direction
 
 from conftest import cvec, random_family
@@ -144,6 +146,37 @@ class TestFockMatrix:
         with pytest.raises(PreconditionViolated):
             fock_matrix(q, 10)
 
+    def test_large_truncation_stays_finite(self):
+        # x^k overflowed here before the rows were scaled by sqrt(2^k k!)
+        _, _, q = family(lam=-0.3 + 0.1j, mu=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            ft = fock_matrix(q, 100)
+        assert np.all(np.isfinite(ft.matrix))
+        assert np.all(np.isfinite(ft.basis_norms))
+        assert ft.order <= 360
+
+    def test_non_finite_entries_raise(self, monkeypatch):
+        _, _, q = family(lam=-1.0)
+        nodes = oracle._tensor_nodes
+
+        def with_nan(order, dim):
+            x, logw = nodes(order, dim)
+            return x, np.where(np.arange(logw.size) == 7, np.nan, logw)
+
+        monkeypatch.setattr(oracle, "_tensor_nodes", with_nan)
+        with pytest.raises(NonConvergent, match="non-finite"):
+            oracle._fock_matrix_raw(q, 10, 40)
+        with pytest.raises(NonConvergent):
+            fock_matrix(q, 10)
+
+    def test_chunked_sum_matches_one_block(self, monkeypatch):
+        _, _, q = family(lam=-0.5 + 0.2j, mu=0.01, c=0.2, d=0.1j)
+        chunked = oracle._fock_matrix_raw(q, 30, 90)
+        monkeypatch.setattr(oracle, "_FOCK_CHUNK", 90 * 90)
+        whole = oracle._fock_matrix_raw(q, 30, 90)
+        assert np.linalg.norm(chunked - whole) <= 1e-14 * np.linalg.norm(whole)
+
 
 class TestOperatorNormScan:
     def test_trivial_symbol_all_ones(self):
@@ -230,3 +263,16 @@ class TestCoherentGrowthScan:
         assert rate > 0
         exps, _ = coherent_growth_scan(phi0, q, direction=w0, radii=[1.0, 10.0, 100.0])
         assert exps[2] > exps[1] > exps[0]
+
+    def test_scan_builds_the_exponent_form_once(self, monkeypatch):
+        _, phi0, q = family(lam=0.21)
+        calls = []
+        build = oracle.coherent_exponent_form
+
+        def counted(*args):
+            calls.append(args)
+            return build(*args)
+
+        monkeypatch.setattr(oracle, "coherent_exponent_form", counted)
+        coherent_growth_scan(phi0, q)
+        assert len(calls) == 1
