@@ -41,7 +41,7 @@ from .forms import (
     realify,
     validate_instance,
 )
-from .stationary import QuadCriticalProblem, critical_value, nondegeneracy_check
+from .stationary import QuadCriticalProblem, critical_value
 from .symplectic import (
     AffineSymplecticMap,
     LagrangianPlane,
@@ -52,7 +52,6 @@ from .symplectic import (
     build_kappa_tilde,
     image_plane,
     intersection_kernel,
-    intersection_plane_eq,
     positivity_class,
 )
 from .pipeline import (
@@ -139,8 +138,6 @@ __all__ = [
     "hermitian_reduction",
     "image_plane",
     "intersection_kernel",
-    "intersection_plane_eq",
-    "nondegeneracy_check",
     "operator_norm_scan",
     "polarize",
     "polarize_weight",

@@ -20,7 +20,7 @@ closed forms are the golden reference for the generic pipeline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,16 +28,7 @@ from . import linalg
 from .errors import HypothesisViolated, PreconditionViolated
 from .forms import QuadraticSymbol, WeightForm
 from .pipeline import Verdict
-from .symplectic import (
-    AffineSymplecticMap,
-    AntilinearIntersection,
-    TAU_DEFAULT,
-    antilinear_intersection,
-)
-
-#: below this fraction of the scale, the positivity margin counts as an
-#: exact boundary hit (same role as symplectic.ZERO_FLOOR)
-_ZERO_FLOOR = 1e-12
+from .symplectic import TAU_DEFAULT, ZERO_FLOOR, AffineSymplecticMap
 
 
 @dataclass(frozen=True)
@@ -48,10 +39,13 @@ class FamilyParams:
     A: np.ndarray
     c: np.ndarray
     d: np.ndarray
+    #: spectral norm of A, computed once
+    a_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a = linalg.as_matrix(self.A, square=True)
-        if linalg.spectral_norm(a - a.T) > 1e-12 * max(linalg.spectral_norm(a), 1.0):
+        # symmetry self-check, Frobenius scale
+        if linalg.frob(a - a.T) > 1e-12 * max(linalg.frob(a), 1.0):
             raise HypothesisViolated("A must be complex symmetric")
         c = np.asarray(self.c, dtype=complex).reshape(-1)
         d = np.asarray(self.d, dtype=complex).reshape(-1)
@@ -61,14 +55,11 @@ class FamilyParams:
         object.__setattr__(self, "A", a)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
+        object.__setattr__(self, "a_norm", linalg.spectral_norm(a))
 
     @property
     def n(self) -> int:
         return self.A.shape[0]
-
-    @property
-    def a_norm(self) -> float:
-        return linalg.spectral_norm(self.A)
 
     @property
     def hypothesis_margin(self) -> float:
@@ -124,25 +115,62 @@ def family_kappa(p: FamilyParams) -> AffineSymplecticMap:
     return AffineSymplecticMap(m, t)
 
 
-def _condition_functional(p: FamilyParams):
-    """Realified coefficients of y -> Re(gamma conj(c).y + (4 gamma A conj(c) - d).conj(y))."""
-    g = p.gamma
-    pvec = g * p.c.conj()
-    svec = 4.0 * g * (p.A @ p.c.conj()) - p.d
-    return np.concatenate([(pvec + svec).real, (svec - pvec).imag])
+@dataclass(frozen=True)
+class AntilinearIntersection:
+    """Realified solution set of ``(1 - |gamma|^2) y = 4 |gamma|^2 A conj(y)``."""
+
+    matrix: np.ndarray
+    kernel: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return self.kernel.shape[1]
+
+
+def antilinear_intersection(gamma: complex, a: np.ndarray, tol: float = TAU_DEFAULT) -> AntilinearIntersection:
+    """Solve the antilinear intersection equation of the model family.
+
+    The equation ``rho0 y = A~ conj(y)`` with ``rho0 = 1 - |gamma|^2`` and
+    ``A~ = 4 |gamma|^2 A`` is realified to the symmetric system
+
+        [[rho0 I - A1, -A2], [-A2, rho0 I + A1]] (u, v) = 0,
+
+    whose kernel (eigenvalues within ``tol`` of the spectral norm, at
+    least 1) is returned as orthonormal columns.
+    """
+    a = linalg.as_matrix(a, square=True)
+    n = a.shape[0]
+    rho0 = 1.0 - abs(gamma) ** 2
+    at = 4.0 * abs(gamma) ** 2 * a
+    a1, a2 = at.real, at.imag
+    i = np.eye(n)
+    r = np.block([[rho0 * i - a1, -a2], [-a2, rho0 * i + a1]])
+    w, vecs = linalg.eig_hermitian_real(0.5 * (r + r.T))
+    # the spectral norm of the symmetric system is its largest |eigenvalue|
+    scale = float(np.max(np.abs(w), initial=1.0))
+    return AntilinearIntersection(r, vecs[:, np.abs(w) <= tol * scale])
 
 
 def boundedness_condition_general(p: FamilyParams, intersection: AntilinearIntersection, tau: float = TAU_DEFAULT):
     """Vanishing of the linear condition on the intersection kernel.
 
-    Returns ``(holds, rel_margin)``; the margin is the largest value of the
-    realified functional on the orthonormal kernel basis, relative to the
-    functional size.
+    The condition is the realified functional
+    ``y -> Re(gamma conj(c).y + (4 gamma A conj(c) - d).conj(y))``.
+    Returns ``(holds, rel_margin)``; the margin is its largest value on the
+    orthonormal kernel basis, relative to the sizes of its terms,
+    ``||gamma c|| + ||4 gamma A conj(c)|| + ||d||``.  The functional's own
+    size is no scale: on the boundary its terms can cancel (on the
+    |gamma| = 1 arc with c = gamma d it is round-off).
     """
     if intersection.dim == 0:
         return True, 0.0
-    ell = _condition_functional(p)
-    scale = max(float(np.linalg.norm(ell)), np.finfo(float).tiny)
+    g = p.gamma
+    pvec = g * p.c.conj()
+    avec = 4.0 * g * (p.A @ p.c.conj())
+    svec = avec - p.d
+    ell = np.concatenate([(pvec + svec).real, (svec - pvec).imag])
+    size = np.linalg.norm(pvec) + np.linalg.norm(avec) + np.linalg.norm(p.d)
+    scale = max(float(size), np.finfo(float).tiny)
     values = ell @ intersection.kernel
     rel = float(np.max(np.abs(values)) / scale)
     return bool(rel <= tau), rel
@@ -150,6 +178,9 @@ def boundedness_condition_general(p: FamilyParams, intersection: AntilinearInter
 
 def scalar_a_condition(p: FamilyParams, tau: float = TAU_DEFAULT):
     """Closed-form boundedness condition when A = mu I.
+
+    A second route to :func:`boundedness_condition_general` on scalar A,
+    kept as a reference for it; :func:`family_decide` does not call it.
 
     For ``mu = 0`` the condition is ``c = gamma d`` (only binding when
     ``|gamma| = 1``); for ``mu`` on the boundary circle
@@ -168,11 +199,11 @@ def scalar_a_condition(p: FamilyParams, tau: float = TAU_DEFAULT):
     n = p.n
     mu = complex(np.trace(p.A) / n) if n else 0.0
     if linalg.spectral_norm(p.A - mu * np.eye(n)) > 1e-12 * max(abs(mu), 1.0):
-        raise PreconditionViolated("fast path requires A = mu I")
+        raise PreconditionViolated("scalar condition requires A = mu I")
     g = p.gamma
     g2 = abs(g) ** 2
     scale_c = max(float(np.linalg.norm(p.c)), float(np.linalg.norm(p.d)), np.finfo(float).tiny)
-    if abs(mu) <= _ZERO_FLOOR:
+    if abs(mu) <= ZERO_FLOOR:
         if abs(1.0 - abs(g)) > tau:
             # trivial intersection: nothing to check
             return True, 0.0
@@ -203,7 +234,6 @@ class FamilyDecision:
 def family_decide(
     p: FamilyParams,
     tau: float = TAU_DEFAULT,
-    use_scalar_fast_path: bool = True,
     require_hypothesis: bool = True,
 ) -> FamilyDecision:
     """Closed-form boundedness and compactness decision.
@@ -223,7 +253,7 @@ def family_decide(
     g2 = abs(p.gamma) ** 2
     scale = 1.0 + g2 + 4.0 * g2 * p.a_norm
     margin = p.positivity_margin
-    zero_band = _ZERO_FLOOR * scale
+    zero_band = ZERO_FLOOR * scale
     band = max(tau * scale, zero_band)
     margins = {
         "hypothesis": p.hypothesis_margin,
@@ -243,14 +273,7 @@ def family_decide(
 
     # exact boundary: non-strict inequality holds, kernel is non-trivial
     inter = antilinear_intersection(p.gamma, p.A, tol=tau)
-    is_scalar = (
-        linalg.spectral_norm(p.A - (np.trace(p.A) / max(p.n, 1)) * np.eye(p.n))
-        <= 1e-12 * max(p.a_norm, 1.0)
-    )
-    if use_scalar_fast_path and is_scalar:
-        holds, rel = scalar_a_condition(p, tau)
-    else:
-        holds, rel = boundedness_condition_general(p, inter, tau)
+    holds, rel = boundedness_condition_general(p, inter, tau)
     margins["condition"] = rel
     bounded = Verdict.BOUNDED if holds else Verdict.UNBOUNDED
     return FamilyDecision(bounded, Verdict.NOT_COMPACT, inter.dim, holds, margins)

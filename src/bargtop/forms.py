@@ -33,6 +33,9 @@ from .errors import NotReal, NotReduced, NumericalFailure, ShapeMismatch
 
 _HERM_TOL = 1e-12
 _REAL_TOL = 1e-12
+#: relative gate of strict plurisubharmonicity: smallest eigenvalue of H
+#: above this fraction of the largest (at least 1)
+_PSH_TOL = 1e-10
 
 
 def _infer_dim(*parts) -> int:
@@ -235,10 +238,6 @@ class HoloQuadratic2n:
             + self.c0
         )
 
-    def quadratic_part(self) -> "HoloQuadratic2n":
-        z = np.zeros(self.n, dtype=complex)
-        return trusted(HoloQuadratic2n, mxx=self.mxx, mxz=self.mxz, mzz=self.mzz, lx=z, lz=z, c0=0j)
-
     @classmethod
     def from_hessian(cls, hess, lin=None, c0=0.0) -> "HoloQuadratic2n":
         hess = linalg.as_matrix(hess, square=True)
@@ -426,12 +425,7 @@ class ValidationReport:
         return out
 
 
-def validate_instance(
-    phi: WeightForm,
-    q: QuadraticSymbol,
-    eps_psd: float = 1e-10,
-    eps_sing: float = linalg.EPS_SING,
-) -> ValidationReport:
+def validate_instance(phi: WeightForm, q: QuadraticSymbol) -> ValidationReport:
     """Check the standing assumptions on a (weight, symbol) pair.
 
     Failures are reported, never raised.  Margins are returned raw so that
@@ -441,7 +435,7 @@ def validate_instance(
         raise ShapeMismatch(f"weight dimension {phi.n} != symbol dimension {q.n}")
     wh, _ = np.linalg.eigh(phi.H)
     psh_margin = float(wh[0])
-    strict_psh = psh_margin > eps_psd * max(float(wh[-1]), 1.0)
+    strict_psh = psh_margin > _PSH_TOL * max(float(wh[-1]), 1.0)
 
     herm_real = phi.herm_part().realified().s
     maj = herm_real - q.principal_re_realified()
@@ -451,7 +445,7 @@ def validate_instance(
 
     a11 = 2.0 * phi.H - q.qyt.T
     smin, smax = linalg.gate(a11)
-    nondeg = smin >= eps_sing * max(smax, np.finfo(float).tiny)
+    nondeg = smin >= linalg.EPS_SING * max(smax, np.finfo(float).tiny)
 
     return ValidationReport(strict_psh, psh_margin, majorization, maj_margin, nondeg, smin)
 

@@ -66,17 +66,17 @@ def gate(m) -> tuple[float, float]:
     return float(s[-1]), float(s[0])
 
 
-def require_regular(m, eps_sing: float = EPS_SING, error=SingularMatrix, what: str = "matrix"):
+def require_regular(m, error=SingularMatrix, what: str = "matrix"):
     """Apply the relative singularity gate; return ``(smin, smax)``.
 
     Raises
     ------
     error
-        (``SingularMatrix`` unless given) if ``smin < eps_sing * smax``.
+        (``SingularMatrix`` unless given) if ``smin < EPS_SING * smax``.
     """
     smin, smax = gate(m)
-    if smin < eps_sing * max(smax, _TINY):
-        raise error(f"{what} is singular: smin {smin:.3e} < {eps_sing:g} * smax {smax:.3e}")
+    if smin < EPS_SING * max(smax, _TINY):
+        raise error(f"{what} is singular: smin {smin:.3e} < {EPS_SING:g} * smax {smax:.3e}")
     return smin, smax
 
 
@@ -130,30 +130,30 @@ def solve_regular(m: np.ndarray, b) -> np.ndarray:
     return x[:, 0] if vector_rhs else x
 
 
-def solve(m, b, eps_sing: float = EPS_SING) -> np.ndarray:
+def solve(m, b) -> np.ndarray:
     """Solve M X = B with a relative singularity gate.
 
     Raises
     ------
     SingularMatrix
         If the smallest singular value of ``M`` is below
-        ``eps_sing * norm(M)``.
+        ``EPS_SING * norm(M)``.
     NumericalFailure
         If the residual exceeds ``TOL_SOLVE`` relative to ``norm(B)``
         (Frobenius norms, see :func:`solve_regular`).
     """
     m = as_matrix(m, square=True)
-    require_regular(m, eps_sing)
+    require_regular(m)
     return solve_regular(m, b)
 
 
-def inv(m, eps_sing: float = EPS_SING) -> np.ndarray:
+def inv(m) -> np.ndarray:
     """Gated inverse, ``solve(m, I)``."""
     m = as_matrix(m, square=True)
-    return solve(m, np.eye(m.shape[0], dtype=complex), eps_sing=eps_sing)
+    return solve(m, np.eye(m.shape[0], dtype=complex))
 
 
-def eig_hermitian_real(s, tol: float = TOL_EIG):
+def eig_hermitian_real(s):
     """Eigendecomposition of a real symmetric matrix.
 
     Returns
@@ -170,8 +170,8 @@ def eig_hermitian_real(s, tol: float = TOL_EIG):
     NumericalFailure
         If ``S`` is not symmetric (``||S - S^T||_F > TOL_SYM max(||S||_F,
         1)``), or one of the self-checks fails: the reconstruction
-        ``||V diag(w) V^T - S||_F <= tol max(||S||_F, 1)`` or the
-        orthonormality ``||V^T V - I||_F <= tol``.
+        ``||V diag(w) V^T - S||_F <= TOL_EIG max(||S||_F, 1)`` or the
+        orthonormality ``||V^T V - I||_F <= TOL_EIG``.
     """
     s = np.asarray(s, dtype=float)
     if s.ndim != 2 or s.shape[0] != s.shape[1]:
@@ -186,46 +186,11 @@ def eig_hermitian_real(s, tol: float = TOL_EIG):
         first = np.argmax(np.abs(v) > 1e-12, axis=0)
         flip = v[first, np.arange(v.shape[1])] < 0
         v[:, flip] = -v[:, flip]
-    if frob((v * w) @ v.T - s) > tol * scale:
+    if frob((v * w) @ v.T - s) > TOL_EIG * scale:
         raise NumericalFailure("eigendecomposition reconstruction above tolerance")
-    if frob(v.T @ v - np.eye(s.shape[0])) > tol:
+    if frob(v.T @ v - np.eye(s.shape[0])) > TOL_EIG:
         raise NumericalFailure("eigenvectors are not orthonormal")
     return w, v
-
-
-def schur_block_invert(a, n: int, eps_sing: float = EPS_SING) -> np.ndarray:
-    """Invert a 2n x 2n block matrix through the Schur complement of A11.
-
-    The inverse is assembled from the blocks
-
-        B11 = A11^-1 + A11^-1 A12 S^-1 A21 A11^-1,   B12 = -A11^-1 A12 S^-1,
-        B21 = -S^-1 A21 A11^-1,                      B22 = S^-1,
-
-    with ``S = A22 - A21 A11^-1 A12``.  ``B22`` is invertible whenever
-    ``A`` and ``A11`` are.
-
-    Raises
-    ------
-    SingularMatrix
-        If ``A`` or its leading n x n block fails the relative gate.
-    """
-    a = as_matrix(a, square=True)
-    if a.shape[0] != 2 * n:
-        raise ShapeMismatch(f"expected shape {(2 * n, 2 * n)}, got {a.shape}")
-    _, na = require_regular(a, eps_sing, what="block matrix")
-    a11, a12 = a[:n, :n], a[:n, n:]
-    a21, a22 = a[n:, :n], a[n:, n:]
-    require_regular(a11, eps_sing, what="leading block A11")
-    a11_inv = solve_regular(a11, np.eye(n, dtype=complex))
-    schur = a22 - a21 @ a11_inv @ a12
-    b22 = solve(schur, np.eye(n, dtype=complex), eps_sing=eps_sing)
-    b12 = -a11_inv @ a12 @ b22
-    b21 = -b22 @ a21 @ a11_inv
-    b11 = a11_inv + a11_inv @ a12 @ b22 @ a21 @ a11_inv
-    b = np.block([[b11, b12], [b21, b22]])
-    if spectral_norm(b @ a - np.eye(2 * n)) > TOL_SOLVE * max(1.0, na * spectral_norm(b)):
-        raise NumericalFailure("Schur-complement inverse residual above tolerance")
-    return b
 
 
 def embed_real(n: int) -> np.ndarray:

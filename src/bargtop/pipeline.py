@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .errors import AssumptionViolated, DegenerateFxz, NotAGraph, NotConcave, NumericalFailure
+from .errors import AssumptionViolated, NotAGraph, NotConcave, NumericalFailure
 from .forms import (
     HoloQuadratic2n,
     QuadraticSymbol,
@@ -102,20 +102,17 @@ class Analysis:
     """Everything the pipeline derives from one instance."""
 
     phi0: WeightForm
-    symbol: QuadraticSymbol
     validation: ValidationReport
     reduced: WeightForm
     f: HoloQuadratic2n
     weyl: WeylPhase
     kappa: AffineSymplecticMap
-    kappa_q: AffineSymplecticMap
     m_l: LinearFunctional2n
     kappa_tilde: AffineSymplecticMap
     phi1: WeightForm | None
     positivity: PositivityResult
     kernel: np.ndarray
     linear_vanishes: bool
-    alpha_margin: float
     bounded: Verdict
     compact: Verdict
     margins: dict
@@ -123,6 +120,21 @@ class Analysis:
     @property
     def kernel_dim(self) -> int:
         return self.kernel.shape[1]
+
+
+def _stationary_phase(phi0: WeightForm, q: QuadraticSymbol, s: float, y_coupling: np.ndarray) -> HoloQuadratic2n:
+    """The stationary phase both phases share: the critical value in (y, theta) of
+
+        Q(y, theta) - s Psi0(y, theta) + s Psi0(x, theta) + (y_coupling p).y
+
+    as a polynomial in the parameters ``(x, p)``.  ``phi0`` must be
+    reduced, so that ``Psi0(x, y) = (H x).y``.
+    """
+    ht = polarize_weight(phi0).mxz  # H^T
+    z = np.zeros_like(ht)
+    m = linalg.block2(q.qyy, q.qyt - s * ht, q.qyt.T - s * ht.T, q.qtt)
+    lmap = linalg.block2(z, y_coupling, s * phi0.H, z)
+    return critical_value(QuadCriticalProblem(m, lmap, np.concatenate([q.a, q.b]), q.q0))
 
 
 def compute_f(phi0: WeightForm, q: QuadraticSymbol) -> HoloQuadratic2n:
@@ -133,19 +145,11 @@ def compute_f(phi0: WeightForm, q: QuadraticSymbol) -> HoloQuadratic2n:
 
         Q(y, theta) - 2 Psi0(y, theta) + 2 Psi0(x, theta) + 2 Psi0(y, z).
 
-    Requires a validated instance; the mixed-block gate on the result is
-    re-checked because the downstream map construction divides by it.
+    Requires a validated instance.  The mixed block of f is gated where it
+    is inverted, in :func:`bargtop.symplectic.build_kappa`.
     """
-    psi0 = polarize_weight(phi0)
-    n = phi0.n
-    h = phi0.H
-    ht = psi0.mxz  # H^T
-    m = linalg.block2(q.qyy, q.qyt - 2.0 * ht, q.qyt.T - 2.0 * ht.T, q.qtt)
-    z = np.zeros((n, n), dtype=complex)
-    lmap = linalg.block2(z, 2.0 * ht, 2.0 * h, z)
-    prob = QuadCriticalProblem(m, lmap, np.concatenate([q.a, q.b]), q.q0)
-    vc = critical_value(prob)
-    f = trusted(
+    vc = _stationary_phase(phi0, q, 2.0, 2.0 * phi0.H.T)
+    return trusted(
         HoloQuadratic2n,
         mxx=0.5 * vc.mxx,
         mxz=0.5 * vc.mxz,
@@ -154,8 +158,6 @@ def compute_f(phi0: WeightForm, q: QuadraticSymbol) -> HoloQuadratic2n:
         lz=0.5 * vc.lz,
         c0=0.5 * vc.c0,
     )
-    linalg.require_regular(f.mxz, linalg.EPS_SING, DegenerateFxz, "mixed block of the kernel phase")
-    return f
 
 
 def compute_weyl_phase(phi0: WeightForm, q: QuadraticSymbol) -> WeylPhase:
@@ -169,20 +171,12 @@ def compute_weyl_phase(phi0: WeightForm, q: QuadraticSymbol) -> WeylPhase:
     split into its quadratic part F and linear part alpha; the constant is
     dropped.
     """
-    psi0 = polarize_weight(phi0)
-    n = phi0.n
-    h = phi0.H
-    ht = psi0.mxz
-    m = linalg.block2(q.qyy, q.qyt - 4.0 * ht, q.qyt.T - 4.0 * ht.T, q.qtt)
-    z = np.zeros((n, n), dtype=complex)
-    eye = np.eye(n, dtype=complex)
-    lmap = linalg.block2(z, 2j * eye, 4.0 * h, z)
-    prob = QuadCriticalProblem(m, lmap, np.concatenate([q.a, q.b]), q.q0)
-    vc = critical_value(prob)
+    eye = np.eye(phi0.n, dtype=complex)
+    vc = _stationary_phase(phi0, q, 4.0, 2j * eye)
     fxx = -1j * vc.mxx
     fxxi = -1j * vc.mxz - 2.0 * eye
     fxixi = -1j * vc.mzz
-    zv = np.zeros(n, dtype=complex)
+    zv = np.zeros(phi0.n, dtype=complex)
     fquad = trusted(HoloQuadratic2n, mxx=fxx, mxz=fxxi, mzz=fxixi, lx=zv, lz=zv, c0=0j)
     alpha = LinearFunctional2n(-1j * vc.lx, -1j * vc.lz)
     return WeylPhase(fquad, alpha)
@@ -211,11 +205,11 @@ def analyze(phi0: WeightForm, q: QuadraticSymbol, tau: float = TAU_DEFAULT) -> A
     # is I-Lagrangian and R-symplectic without re-proving it
     plane = trusted(LagrangianPlane, phi=reduced, basis=reduced.graph_basis())
     try:
-        phi1 = image_plane(kappa_q, reduced, plane=plane)
+        phi1 = image_plane(kappa_q, plane)
     except NotAGraph:
         phi1 = None
 
-    pos = positivity_class(weyl.F, reduced, tau, plane=plane)
+    pos = positivity_class(weyl.F, plane, tau)
     margins = {
         "strict_psh": report.strict_psh_margin,
         "majorization": report.majorization_margin,
@@ -224,9 +218,7 @@ def analyze(phi0: WeightForm, q: QuadraticSymbol, tau: float = TAU_DEFAULT) -> A
         "positivity_scale": pos.scale,
     }
     if pos.classification in (Positivity.POSITIVE, Positivity.STRICTLY_POSITIVE):
-        kernel, vanishes, alpha_margin = intersection_kernel(
-            weyl.F, weyl.alpha, reduced, tau, positivity=pos, plane=plane
-        )
+        kernel, vanishes, alpha_margin = intersection_kernel(weyl.alpha, pos, plane, tau)
     else:
         kernel = np.zeros((2 * reduced.n, 0))
         vanishes, alpha_margin = False, float("inf")
@@ -247,20 +239,17 @@ def analyze(phi0: WeightForm, q: QuadraticSymbol, tau: float = TAU_DEFAULT) -> A
 
     return Analysis(
         phi0=phi0,
-        symbol=q,
         validation=report,
         reduced=reduced,
         f=f,
         weyl=weyl,
         kappa=kappa,
-        kappa_q=kappa_q,
         m_l=m_l,
         kappa_tilde=kappa_tilde,
         phi1=phi1,
         positivity=pos,
         kernel=kernel,
         linear_vanishes=vanishes,
-        alpha_margin=alpha_margin,
         bounded=bounded,
         compact=compact,
         margins=margins,

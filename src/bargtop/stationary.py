@@ -22,7 +22,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DegeneratePhase, NumericalFailure, ShapeMismatch
-from .forms import HoloQuadratic2n, QuadraticSymbol, trusted
+from .forms import HoloQuadratic2n, trusted
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class QuadCriticalProblem:
         return self.m @ w + self.lmap @ p + self.r0
 
 
-def critical_value(prob: QuadCriticalProblem, eps_sing: float = linalg.EPS_SING) -> HoloQuadratic2n:
+def critical_value(prob: QuadCriticalProblem) -> HoloQuadratic2n:
     """Critical value of a quadratic problem as a polynomial in p.
 
     The parameter space must have even dimension 2p; the result is returned
@@ -87,7 +87,7 @@ def critical_value(prob: QuadCriticalProblem, eps_sing: float = linalg.EPS_SING)
         If the Hessian fails the relative singular-value gate.
     """
     m = prob.m
-    _, nm = linalg.require_regular(m, eps_sing, DegeneratePhase, "quadratic phase")
+    _, nm = linalg.require_regular(m, DegeneratePhase, "quadratic phase")
     if prob.lmap.shape[1] % 2:
         raise ShapeMismatch("parameter dimension must be even")
     minv_l = np.linalg.solve(m, prob.lmap)
@@ -114,27 +114,3 @@ def critical_value(prob: QuadCriticalProblem, eps_sing: float = linalg.EPS_SING)
         lz=lin[k:],
         c0=complex(const),
     )
-
-
-def nondegeneracy_check(q: QuadraticSymbol, psi0: HoloQuadratic2n, s: int):
-    """Gate the Hessian of Q2 - s * Psi0 in the variables (y, theta).
-
-    ``s = 2`` guards the coherent-state kernel phase, ``s = 4`` the phase of
-    the symbol integral.  Returns ``(ok, margin)`` where the margin is the
-    smallest singular value of the Hessian.
-    """
-    if s not in (2, 4):
-        raise ValueError("s must be 2 or 4")
-    n = q.n
-    if psi0.n != n:
-        raise ShapeMismatch("symbol and weight polarization dimensions differ")
-    ht = psi0.mxz  # equals H^T for a reduced weight
-    hess = np.block(
-        [
-            [q.qyy, q.qyt - s * ht],
-            [q.qyt.T - s * ht.T, q.qtt],
-        ]
-    )
-    smin, smax = linalg.gate(hess)
-    ok = smin >= linalg.EPS_SING * max(smax, np.finfo(float).tiny)
-    return ok, smin

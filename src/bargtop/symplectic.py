@@ -137,11 +137,6 @@ class LinearFunctional2n:
         """Hamilton vector (d/dxi, -d/dx) = J grad."""
         return symplectic_j(self.n) @ self.vector()
 
-    def pullback(self, m: np.ndarray) -> "LinearFunctional2n":
-        """The functional rho -> ell(M rho)."""
-        g = linalg.as_matrix(m, square=True).T @ self.vector()
-        return LinearFunctional2n(g[: self.n], g[self.n :])
-
     def norm(self) -> float:
         return float(np.linalg.norm(self.vector()))
 
@@ -221,7 +216,7 @@ class PositivityResult:
         return self.eigenvectors[:, mask]
 
 
-def build_kappa(f: HoloQuadratic2n, phi0: WeightForm, eps_sing: float = linalg.EPS_SING):
+def build_kappa(f: HoloQuadratic2n, phi0: WeightForm):
     """Canonical transformation generated by the kernel phase polynomial.
 
     Given the quadratic polynomial f(x, z) of the coherent-state kernel and
@@ -246,9 +241,9 @@ def build_kappa(f: HoloQuadratic2n, phi0: WeightForm, eps_sing: float = linalg.E
     h = phi0.H
     g = f.mxz.T  # mixed block, rows z / cols x
     # one gate for every solve against g below
-    linalg.require_regular(g, eps_sing, DegenerateFxz, "mixed block of the kernel phase")
+    linalg.require_regular(g, DegenerateFxz, "mixed block of the kernel phase")
 
-    ht_inv = linalg.inv(h.T, eps_sing=eps_sing)
+    ht_inv = linalg.inv(h.T)
     # x solves g x = H y - mzz z - lz; its three parts at once
     sol = linalg.solve_regular(g, np.hstack([h, -f.mzz, -f.lz[:, None]]))
     k11 = sol[:, :n]  # x from y
@@ -275,11 +270,7 @@ def build_kappa(f: HoloQuadratic2n, phi0: WeightForm, eps_sing: float = linalg.E
     return kappa, kappa_q, m_l
 
 
-def build_kappa_tilde(
-    fquad: HoloQuadratic2n,
-    alpha: LinearFunctional2n,
-    eps_sing: float = linalg.EPS_SING,
-):
+def build_kappa_tilde(fquad: HoloQuadratic2n, alpha: LinearFunctional2n):
     """Canonical transformation generated by the phase of the symbol.
 
     ``fquad`` is the quadratic part F (in the variables (x, xi)) and
@@ -313,7 +304,7 @@ def build_kappa_tilde(
     plus = eye + 0.5 * fund
     minus = eye - 0.5 * fund
     for gate in (plus, minus):
-        linalg.require_regular(gate, eps_sing, NotBijective, "Cayley gate 1 +/- G/2")
+        linalg.require_regular(gate, NotBijective, "Cayley gate 1 +/- G/2")
     mf = np.linalg.solve(plus.T, minus.T).T  # (1 - G/2)(1 + G/2)^{-1}
     kappa_f = AffineSymplecticMap(mf, np.zeros(2 * n, dtype=complex))
     g_comp = np.linalg.solve(mf.T, alpha.vector())  # alpha o kappa_F^{-1}
@@ -322,19 +313,13 @@ def build_kappa_tilde(
     return kappa_tilde, kappa_f, fund
 
 
-def image_plane(
-    kappa_q: AffineSymplecticMap,
-    phi0: WeightForm,
-    eps_sing: float = linalg.EPS_SING,
-    plane: LagrangianPlane | None = None,
-) -> WeightForm:
-    """Weight of the image plane kappa_q(Lambda_phi0).
+def image_plane(kappa_q: AffineSymplecticMap, plane: LagrangianPlane) -> WeightForm:
+    """Weight of the image plane kappa_q(plane).
 
     The image of a graph plane under a linear canonical map is again
     I-Lagrangian and R-symplectic; when it projects bijectively onto the
     base variables it is the graph plane of a (possibly indefinite) weight,
-    which is returned.  ``plane`` is the graph plane of ``phi0``, when the
-    caller has it already.
+    which is returned.
 
     Raises
     ------
@@ -345,12 +330,11 @@ def image_plane(
     """
     if not kappa_q.is_linear:
         raise PreconditionViolated("image_plane expects a linear map")
-    n = phi0.n
-    plane = plane if plane is not None else LagrangianPlane(phi0)
+    n = plane.n
     v = kappa_q.m @ plane.basis
     x_part, xi_part = v[:n], v[n:]
     x_real = np.vstack([x_part.real, x_part.imag])
-    linalg.require_regular(x_real, eps_sing, NotAGraph, "base projection of the image plane")
+    linalg.require_regular(x_real, NotAGraph, "base projection of the image plane")
     t_map = xi_part @ np.linalg.inv(x_real)  # xi as a real-linear map of x
     p, nmat = linalg.split_real_linear(t_map)
     s1 = 0.5j * p
@@ -370,13 +354,8 @@ def image_plane(
     return phi1
 
 
-def positivity_class(
-    fquad: HoloQuadratic2n,
-    phi0: WeightForm,
-    tau: float = TAU_DEFAULT,
-    plane: LagrangianPlane | None = None,
-) -> PositivityResult:
-    """Classify Im F restricted to the graph plane of ``phi0``.
+def positivity_class(fquad: HoloQuadratic2n, plane: LagrangianPlane, tau: float = TAU_DEFAULT) -> PositivityResult:
+    """Classify Im F restricted to a graph plane.
 
     The restriction is a real quadratic form on R^{2n}; its eigenvalues are
     compared against two bands: ``zero_band``, the floating-point noise
@@ -385,9 +364,7 @@ def positivity_class(
     between the two bands make the strict inequalities undecidable and the
     classification ``MARGINAL``.  Both bands use spectral norms; that of
     the symmetric restriction is its largest eigenvalue modulus.
-    ``plane`` is the graph plane of ``phi0``, when the caller has it.
     """
-    plane = plane if plane is not None else LagrangianPlane(phi0)
     c = plane.restrict_quadratic(fquad)
     g = c.imag
     g = 0.5 * (g + g.T)
@@ -414,35 +391,29 @@ def positivity_class(
 
 
 def intersection_kernel(
-    fquad: HoloQuadratic2n,
     alpha: LinearFunctional2n,
-    phi0: WeightForm,
+    positivity: PositivityResult,
+    plane: LagrangianPlane,
     tau: float = TAU_DEFAULT,
-    positivity: PositivityResult | None = None,
-    plane: LagrangianPlane | None = None,
 ):
     """Kernel of Im F on the graph plane and the vanishing test for alpha.
 
-    Returns ``(kernel_basis, vanishes, rel_margin)`` where the kernel basis
-    spans the zero set of Im F restricted to the plane (realified
-    coordinates), ``vanishes`` says whether Im alpha is zero on every
-    kernel vector at relative tolerance ``tau``, and ``rel_margin`` is the
-    largest relative violation.  ``positivity`` and ``plane`` are the
-    classification and the graph plane of ``phi0``, when the caller has
-    them.
+    ``positivity`` is the classification of Im F on ``plane``.  Returns
+    ``(kernel_basis, vanishes, rel_margin)`` where the kernel basis spans
+    the zero set of Im F restricted to the plane (realified coordinates),
+    ``vanishes`` says whether Im alpha is zero on every kernel vector at
+    relative tolerance ``tau``, and ``rel_margin`` is the largest relative
+    violation.
 
     Raises
     ------
     PreconditionViolated
         When the restriction is not positive semi-definite.
     """
-    plane = plane if plane is not None else LagrangianPlane(phi0)
-    pos = positivity if positivity is not None else positivity_class(fquad, phi0, tau, plane)
-    if pos.classification not in (Positivity.POSITIVE, Positivity.STRICTLY_POSITIVE):
+    cls = positivity.classification
+    if cls not in (Positivity.POSITIVE, Positivity.STRICTLY_POSITIVE):
         raise PreconditionViolated("intersection kernel requires a positive restriction")
-    kernel = pos.kernel() if pos.classification is Positivity.POSITIVE else np.zeros(
-        (2 * phi0.n, 0)
-    )
+    kernel = positivity.kernel() if cls is Positivity.POSITIVE else np.zeros((2 * plane.n, 0))
     if kernel.shape[1] == 0:
         return kernel, True, 0.0
     restricted = plane.restrict_linear(alpha)
@@ -451,64 +422,3 @@ def intersection_kernel(
     values = g @ kernel
     rel_margin = float(np.max(np.abs(values)) / scale) if alpha.norm() > 0 else 0.0
     return kernel, bool(rel_margin <= tau), rel_margin
-
-
-@dataclass(frozen=True)
-class AntilinearIntersection:
-    """Realified solution set of ``(1 - |gamma|^2) y = 4 |gamma|^2 A conj(y)``."""
-
-    matrix: np.ndarray
-    kernel: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.kernel.shape[1]
-
-
-def antilinear_intersection(gamma: complex, a: np.ndarray, tol: float = 1e-9) -> AntilinearIntersection:
-    """Solve the antilinear intersection equation of the model family.
-
-    The equation ``rho0 y = A~ conj(y)`` with ``rho0 = 1 - |gamma|^2`` and
-    ``A~ = 4 |gamma|^2 A`` is realified to the symmetric system
-
-        [[rho0 I - A1, -A2], [-A2, rho0 I + A1]] (u, v) = 0,
-
-    whose kernel is returned as orthonormal columns.
-    """
-    a = linalg.as_matrix(a, square=True)
-    n = a.shape[0]
-    rho0 = 1.0 - abs(gamma) ** 2
-    at = 4.0 * abs(gamma) ** 2 * a
-    a1, a2 = at.real, at.imag
-    i = np.eye(n)
-    r = np.block([[rho0 * i - a1, -a2], [-a2, rho0 * i + a1]])
-    w, vecs = linalg.eig_hermitian_real(0.5 * (r + r.T))
-    scale = max(linalg.spectral_norm(r), 1.0)
-    mask = np.abs(w) <= tol * scale
-    return AntilinearIntersection(r, vecs[:, mask])
-
-
-def intersection_plane_eq(
-    kappa_q: AffineSymplecticMap,
-    phi0: WeightForm,
-    tol: float = 1e-9,
-) -> AntilinearIntersection:
-    """Intersection of the image plane with the model plane, in closed form.
-
-    Only valid for the model weight ``|x|^2 / 4`` and a linear map of the
-    explicit-family shape ``(y, eta) -> (y / gamma - 8 i gamma A eta,
-    gamma eta)``; ``gamma`` and ``A`` are read off the matrix blocks.
-    """
-    n = phi0.n
-    if linalg.spectral_norm(phi0.H - 0.25 * np.eye(n)) > 1e-12 or not phi0.is_reduced:
-        raise PreconditionViolated("closed-form intersection needs the model weight")
-    m = kappa_q.m
-    lower_left = m[n:, :n]
-    if linalg.spectral_norm(lower_left) > 1e-10 * max(linalg.spectral_norm(m), 1.0):
-        raise PreconditionViolated("map is not of the explicit-family shape")
-    gamma_block = m[n:, n:]
-    gamma = complex(np.trace(gamma_block) / n)
-    if linalg.spectral_norm(gamma_block - gamma * np.eye(n)) > 1e-9 * max(abs(gamma), 1.0):
-        raise PreconditionViolated("lower-right block is not scalar")
-    a = m[:n, n:] / (-8j * gamma)
-    return antilinear_intersection(gamma, a, tol=tol)

@@ -31,8 +31,7 @@ from bargtop import (
     scalar_a_condition,
     weyl_symbol_quadrature,
 )
-from bargtop.family import boundedness_condition_general
-from bargtop.symplectic import antilinear_intersection
+from bargtop.family import antilinear_intersection, boundedness_condition_general
 
 from conftest import cvec, random_family, random_instance
 
@@ -273,8 +272,12 @@ def test_acceptance_9_scalar_fast_path():
         d = cvec(rng, n)
         matched = FamilyParams(lam, np.zeros((n, n)), gamma * d, d)
         offset = FamilyParams(lam, np.zeros((n, n)), gamma * d + cvec(rng, n, 0.5), d)
-        assert family_decide(matched).bounded is Verdict.BOUNDED, (theta, "matched")
-        assert family_decide(offset).bounded is Verdict.UNBOUNDED, (theta, "offset")
+        for p, want, tag in ((matched, True, "matched"), (offset, False, "offset")):
+            fast_holds, _ = scalar_a_condition(p)
+            general_holds, _ = boundedness_condition_general(p, antilinear_intersection(p.gamma, p.A))
+            assert fast_holds is general_holds is want, (theta, tag, fast_holds, general_holds)
+            verdict = Verdict.BOUNDED if want else Verdict.UNBOUNDED
+            assert family_decide(p).bounded is verdict, (theta, tag)
     # A = mu I on the boundary circle: fast path == general condition
     # (the admissible region requires |gamma| > 1/2, where the circle
     # radius stays below 1/4 - Re lambda)
@@ -302,9 +305,8 @@ def test_acceptance_9_scalar_fast_path():
         inter = antilinear_intersection(p.gamma, p.A)
         general_holds, _ = boundedness_condition_general(p, inter)
         assert fast_holds == general_holds, (gamma_abs, theta)
-        assert family_decide(p, use_scalar_fast_path=True).bounded is family_decide(
-            p, use_scalar_fast_path=False
-        ).bounded
+        verdict = Verdict.BOUNDED if fast_holds else Verdict.UNBOUNDED
+        assert family_decide(p).bounded is verdict, (gamma_abs, theta)
     _report(9, "scalar-fast-path", True, "50 arc + 50 boundary instances")
 
 

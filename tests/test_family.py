@@ -4,6 +4,7 @@ import pytest
 from bargtop import (
     FamilyParams,
     HypothesisViolated,
+    LagrangianPlane,
     Verdict,
     analyze,
     compute_f,
@@ -12,11 +13,19 @@ from bargtop import (
     family_instance,
     family_kappa,
     intersection_kernel,
+    positivity_class,
     scalar_a_condition,
 )
-from bargtop.symplectic import AffineSymplecticMap, build_kappa, intersection_plane_eq
+from bargtop.family import antilinear_intersection, boundedness_condition_general
+from bargtop.symplectic import AffineSymplecticMap, build_kappa
 
 from conftest import cvec, random_family
+from oracles import intersection_plane_eq
+
+
+def general_condition(p):
+    """The general boundary test on the closed-form intersection kernel."""
+    return boundedness_condition_general(p, antilinear_intersection(p.gamma, p.A))
 
 
 class TestInstance:
@@ -132,7 +141,8 @@ class TestIntersectionDimensions:
             _, kq, _ = build_kappa(compute_f(phi0, q), phi0)
             closed = intersection_plane_eq(kq, phi0)
             w = compute_weyl_phase(phi0, q)
-            kernel, _, _ = intersection_kernel(w.F, w.alpha, phi0)
+            plane = LagrangianPlane(phi0)
+            kernel, _, _ = intersection_kernel(w.alpha, positivity_class(w.F, plane), plane)
             assert closed.dim == kernel.shape[1] == 1
             fd = family_decide(p)
             assert fd.kernel_dim == 1
@@ -149,8 +159,28 @@ class TestScalarFastPath:
             bad = FamilyParams(lam, np.zeros((2, 2)), gamma * d + 0.3, d)
             assert scalar_a_condition(good)[0]
             assert not scalar_a_condition(bad)[0]
+            assert general_condition(good)[0]
+            assert not general_condition(bad)[0]
             assert family_decide(good).bounded is Verdict.BOUNDED
             assert family_decide(bad).bounded is Verdict.UNBOUNDED
+
+    def test_arc_agrees_with_general_across_scales(self, rng):
+        # on the |gamma| = 1 arc (A = 0) the terms of the condition cancel
+        # when c = gamma d; the verdict must not depend on the size of d
+        for d_scale in 10.0 ** np.arange(-3, 4):
+            for _ in range(4):
+                theta = rng.uniform(-np.pi / 3 + 0.05, np.pi / 3 - 0.05)
+                lam = (1 - np.exp(1j * theta)) / 2
+                gamma = 1 / (1 - 2 * lam)
+                n = int(rng.integers(1, 3))
+                d = cvec(rng, n, d_scale)
+                for matched in (True, False):
+                    c = gamma * d if matched else gamma * d + cvec(rng, n, 0.3 * d_scale)
+                    p = FamilyParams(lam, np.zeros((n, n)), c, d)
+                    assert scalar_a_condition(p)[0] is matched, (d_scale, matched)
+                    assert general_condition(p)[0] is matched, (d_scale, matched)
+                    want = Verdict.BOUNDED if matched else Verdict.UNBOUNDED
+                    assert family_decide(p).bounded is want
 
     def test_boundary_circle_agrees_with_general(self, rng):
         for _ in range(20):
@@ -162,10 +192,11 @@ class TestScalarFastPath:
             mu = radius * np.exp(1j * theta)
             c, d = cvec(rng, n), cvec(rng, n)
             p = FamilyParams(lam, mu * np.eye(n), c, d)
-            general = family_decide(p, use_scalar_fast_path=False)
-            fast = family_decide(p, use_scalar_fast_path=True)
-            assert general.bounded is fast.bounded
-            assert general.compact is fast.compact
+            holds, _ = scalar_a_condition(p)
+            assert general_condition(p)[0] is holds
+            fd = family_decide(p)
+            assert fd.bounded is (Verdict.BOUNDED if holds else Verdict.UNBOUNDED)
+            assert fd.compact is Verdict.NOT_COMPACT
 
     def test_condition_constructed_to_hold(self, rng):
         gamma_abs = 0.8

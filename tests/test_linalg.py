@@ -5,13 +5,13 @@ from bargtop import NumericalFailure, SingularMatrix
 from bargtop.linalg import (
     eig_hermitian_real,
     embed_real,
-    schur_block_invert,
     solve,
     spectral_norm,
     split_real_linear,
 )
 
 from conftest import relerr
+from oracles import schur_block_invert
 
 
 class TestSolve:

@@ -20,6 +20,7 @@ from bargtop import (
 from bargtop.forms import HoloQuadratic2n, WeightForm
 
 from conftest import cvec, random_family, random_instance
+from oracles import schur_block_invert
 
 
 def family(lam=0.0, mu=0.0, c=0.0, d=0.0):
@@ -178,8 +179,6 @@ class TestSchurRoute:
         # independent route to the mixed block of the kernel phase: with
         # A = [[2H - Qty, -Qtt], [-Qyy, 2H^T - Qyt]] and B = A^{-1},
         # the mixed block equals 2 H^T B22 H^T
-        from bargtop.linalg import schur_block_invert
-
         for _ in range(10):
             n = int(rng.integers(1, 4))
             phi, q = random_instance(rng, n, pluriharmonic=False)

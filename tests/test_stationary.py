@@ -5,13 +5,13 @@ from bargtop import (
     DegeneratePhase,
     QuadCriticalProblem,
     critical_value,
-    nondegeneracy_check,
     polarize,
     polarize_weight,
 )
 from bargtop.forms import WeightForm
 
 from conftest import cvec
+from oracles import nondegeneracy_check
 
 
 def model_psi0():

@@ -18,17 +18,27 @@ from bargtop import (
     family_instance,
     image_plane,
     intersection_kernel,
-    intersection_plane_eq,
     positivity_class,
 )
 from bargtop.forms import HoloQuadratic2n
 from bargtop.symplectic import symplectic_j
 
 from conftest import cvec, random_family, random_instance, random_weight
+from oracles import intersection_plane_eq
 
 
 def model_weight(n=1):
     return WeightForm(0.25 * np.eye(n), np.zeros((n, n)))
+
+
+def model_plane(n=1):
+    return LagrangianPlane(model_weight(n))
+
+
+def kernel_on(fquad, alpha, phi):
+    """Classify Im F on the graph plane of ``phi``, then test alpha on its kernel."""
+    plane = LagrangianPlane(phi)
+    return intersection_kernel(alpha, positivity_class(fquad, plane), plane)
 
 
 def scalar_phase(coeff, n=1):
@@ -170,20 +180,20 @@ class TestBuildKappaTilde:
 class TestImagePlane:
     def test_identity_map(self):
         phi0 = model_weight()
-        phi1 = image_plane(AffineSymplecticMap.identity(1), phi0)
+        phi1 = image_plane(AffineSymplecticMap.identity(1), LagrangianPlane(phi0))
         assert np.allclose(phi1.H, phi0.H)
         assert np.allclose(phi1.S, 0)
 
     def test_scaling_map(self):
         gamma = 1.0 / 3.0
         kq = AffineSymplecticMap(np.diag([1.0 / gamma, gamma]).astype(complex), np.zeros(2))
-        phi1 = image_plane(kq, model_weight())
+        phi1 = image_plane(kq, model_plane())
         assert np.allclose(phi1.H, gamma**2 * 0.25 * np.eye(1), atol=1e-12)
 
     def test_strictly_positive_gap(self):
         phi0, q = family_instance(FamilyParams(-1.0, np.zeros((1, 1)), [0], [0]))
         _, kq, _ = build_kappa(compute_f(phi0, q), phi0)
-        phi1 = image_plane(kq, phi0)
+        phi1 = image_plane(kq, LagrangianPlane(phi0))
         gap = phi0.realified().s - phi1.realified().s
         assert np.linalg.eigvalsh(gap)[0] > 0
         assert np.allclose(gap, (1 - 1 / 9) * 0.25 * np.eye(2), atol=1e-12)
@@ -191,58 +201,56 @@ class TestImagePlane:
     def test_not_a_graph(self):
         shear = AffineSymplecticMap(np.array([[1.0, 2j], [0.0, 1.0]]), np.zeros(2))
         with pytest.raises(NotAGraph):
-            image_plane(shear, model_weight())
+            image_plane(shear, model_plane())
 
     def test_requires_linear(self):
         k = AffineSymplecticMap(np.eye(2, dtype=complex), np.array([1.0, 0.0]))
         with pytest.raises(PreconditionViolated):
-            image_plane(k, model_weight())
+            image_plane(k, model_plane())
 
 
 class TestPositivity:
     def test_zero_phase_positive_full_kernel(self):
-        res = positivity_class(scalar_phase(0.0), model_weight())
+        res = positivity_class(scalar_phase(0.0), model_plane())
         assert res.classification is Positivity.POSITIVE
         assert res.kernel().shape[1] == 2
 
     def test_strict_case_eigenvalues(self):
         # lam = -1: Im F on the plane is |x|^2 / 2
         coeff = 2.0 * (-1.0) / (1.0 - (-1.0))
-        res = positivity_class(scalar_phase(coeff), model_weight())
+        res = positivity_class(scalar_phase(coeff), model_plane())
         assert res.classification is Positivity.STRICTLY_POSITIVE
         assert np.allclose(res.eigenvalues, [0.5, 0.5])
 
     def test_not_positive_case(self):
         coeff = 2.0 * 0.2 / (1.0 - 0.2)
-        res = positivity_class(scalar_phase(coeff), model_weight())
+        res = positivity_class(scalar_phase(coeff), model_plane())
         assert res.classification is Positivity.NOT_POSITIVE
         assert np.allclose(res.eigenvalues, [-0.25, -0.25])
 
     def test_marginal_between_bands(self):
         # restriction with eigenvalues (1, 3e-10): above the noise floor,
         # inside the tolerance band
-        plane = LagrangianPlane(model_weight())
+        plane = model_plane()
         b = plane.basis
         binv = np.linalg.inv(b)
         d = np.diag([1.0, 3e-10])
         fmat = 2j * (binv.T @ d @ binv)
         f = HoloQuadratic2n.from_hessian(0.5 * (fmat + fmat.T))
-        res = positivity_class(f, model_weight())
+        res = positivity_class(f, plane)
         assert res.classification is Positivity.MARGINAL
 
     def test_scale_invariance(self):
         # proportional scaling of the phase must not change the class
         coeff = 2.0 * (-0.3) / (1.0 + 0.3)
         for t in (1.0, 1e-6, 1e6):
-            res = positivity_class(scalar_phase(t * coeff), model_weight())
+            res = positivity_class(scalar_phase(t * coeff), model_plane())
             assert res.classification is Positivity.STRICTLY_POSITIVE
 
 
 class TestIntersectionKernel:
     def test_zero_phase_full_kernel_vanishing(self):
-        kernel, vanishes, margin = intersection_kernel(
-            scalar_phase(0.0), LinearFunctional2n.zero(1), model_weight()
-        )
+        kernel, vanishes, margin = kernel_on(scalar_phase(0.0), LinearFunctional2n.zero(1), model_weight())
         assert kernel.shape[1] == 2 and vanishes and margin == 0.0
 
     def test_unit_circle_gamma_cases(self):
@@ -253,14 +261,17 @@ class TestIntersectionKernel:
         for c, want in [(gamma * d, True), (gamma * d + 0.3, False)]:
             phi0, q = family_instance(FamilyParams(lam, np.zeros((1, 1)), c, d))
             w = compute_weyl_phase(phi0, q)
-            kernel, vanishes, _ = intersection_kernel(w.F, w.alpha, phi0)
+            kernel, vanishes, _ = kernel_on(w.F, w.alpha, phi0)
             assert kernel.shape[1] == 2
             assert vanishes is want
 
     def test_precondition(self):
         coeff = 2.0 * 0.2 / (1.0 - 0.2)
+        plane = model_plane()
+        pos = positivity_class(scalar_phase(coeff), plane)
+        assert pos.classification is Positivity.NOT_POSITIVE
         with pytest.raises(PreconditionViolated):
-            intersection_kernel(scalar_phase(coeff), LinearFunctional2n.zero(1), model_weight())
+            intersection_kernel(LinearFunctional2n.zero(1), pos, plane)
 
 
 class TestIntersectionPlaneEq:
@@ -288,5 +299,5 @@ class TestIntersectionPlaneEq:
         assert inter.dim == 1
         # cross-check against the generic kernel dimension
         w = compute_weyl_phase(phi0, q)
-        kernel, _, _ = intersection_kernel(w.F, w.alpha, phi0)
+        kernel, _, _ = kernel_on(w.F, w.alpha, phi0)
         assert kernel.shape[1] == 1

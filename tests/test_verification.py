@@ -12,6 +12,7 @@ import pytest
 
 from bargtop import (
     AffineSymplecticMap,
+    FamilyParams,
     NumericalFailure,
     QuadCriticalProblem,
     QuadraticSymbol,
@@ -19,6 +20,7 @@ from bargtop import (
     SingularMatrix,
     WeightForm,
     analyze,
+    family_decide,
     family_instance,
     linalg,
 )
@@ -50,14 +52,39 @@ def _count_svds(monkeypatch):
 
 
 class TestSvdBudget:
-    def test_analyze_n2_at_most_20_svds(self, rng, monkeypatch):
+    def test_analyze_n2_at_most_9_svds(self, rng, monkeypatch):
         family = family_instance(random_family(rng, 2))
         general = random_instance(rng, 2)
         calls = _count_svds(monkeypatch)
         for phi, q in (family, general):
             calls[0] = 0
             analyze(phi, q)
-            assert 0 < calls[0] <= 20, calls[0]
+            assert 0 < calls[0] <= 9, calls[0]
+
+    def test_family_params_one_svd(self, rng, monkeypatch):
+        a = random_family(rng, 2).A
+        calls = _count_svds(monkeypatch)
+        p = FamilyParams(0.0, a, [0, 0], [0, 0])
+        assert calls[0] == 1
+        assert p.a_norm == np.linalg.svd(a, compute_uv=False)[0]
+
+    def test_family_decide_strict_no_svd(self, rng, monkeypatch):
+        p = random_family(rng, 2, margin=1e-3)
+        calls = _count_svds(monkeypatch)
+        family_decide(p)
+        assert calls[0] == 0
+
+    def test_family_decide_boundary_at_most_one_svd(self, monkeypatch):
+        # circle (A = mu I, |mu| = radius) and arc (|gamma| = 1, A = 0)
+        gamma = 0.8
+        radius = (1 - gamma**2) / (4 * gamma**2)
+        circle = FamilyParams((1 - 1 / gamma) / 2, radius * np.exp(0.6j) * np.eye(2), [0.1, 0.2], [0.3, 0.4])
+        arc = FamilyParams((1 - np.exp(0.5j)) / 2, np.zeros((2, 2)), [0.1, 0.2], [0.3, 0.4])
+        calls = _count_svds(monkeypatch)
+        for p in (circle, arc):
+            calls[0] = 0
+            assert family_decide(p).kernel_dim > 0
+            assert calls[0] <= 1, calls[0]
 
     def test_counter_sees_norm_2(self, monkeypatch):
         calls = _count_svds(monkeypatch)
