@@ -32,6 +32,8 @@ from .pipeline import compute_f
 
 _CHUNK = 200_000  # max quadrature nodes processed at once
 _FOCK_CHUNK = 4096  # quadrature nodes per block of a Fock matrix accumulation
+_FOCK_BUDGET = 360  # Fock nodes per real dimension, never exceeded
+_FOCK_STEP = 12  # order gap between the two Fock orders that must agree
 
 
 @dataclass(frozen=True)
@@ -62,76 +64,78 @@ def _hermgauss(order: int):
     return x, np.log(w)
 
 
-def _tensor_nodes(order: int, dim: int):
-    """All tensor nodes (P, dim) and their log-weights (P,)."""
+def _tensor_nodes(order: int, dim: int, start: int, stop: int):
+    """Tensor nodes with flat indices in [start, stop), (P, dim), and their log-weights (P,).
+
+    Built from the one-dimensional rule, so only these nodes are ever held.
+    """
     x, logw = _hermgauss(order)
-    grids = np.meshgrid(*([x] * dim), indexing="ij")
-    lgrids = np.meshgrid(*([logw] * dim), indexing="ij")
-    nodes = np.stack([g.ravel() for g in grids], axis=-1)
-    lw = np.sum(np.stack([g.ravel() for g in lgrids]), axis=0)
-    return nodes, lw
+    stop = min(stop, order**dim)
+    ids = np.stack(np.unravel_index(np.arange(start, stop), (order,) * dim), axis=-1)
+    return x[ids], logw[ids].sum(axis=1)
 
 
-def _standardize(s_c: np.ndarray, l_c: np.ndarray, scaling: float = 1.0):
-    """Center and whiten exp((S r).r + l.r).
+def _standardize(s_c: np.ndarray, scaling: float = 1.0):
+    """Whiten the decaying part of the quadratic (S r).r.
 
-    Returns ``(linv_t, resid, g_tilde, e_star, el)`` such that with
-    ``r = r* + linv_t s`` the exponent equals
-    ``e_star - |s|^2 + (resid s).s + g_tilde.s`` where ``Re resid <= 0``
-    (zero for scaling = 1) and ``g_tilde`` is purely imaginary.
+    Returns ``(linv_t, resid, logdet)`` such that with ``r = linv_t s`` the
+    quadratic equals ``-|s|^2 + (resid s).s``, where ``Re resid <= 0``
+    (zero for scaling = 1), and ``dr = exp(-logdet) ds``.
     """
     re_s = s_c.real
     w = -(re_s + re_s.T) * 0.5
     if np.linalg.eigvalsh(w)[0] <= 0:
         raise NotConcave("integrand does not decay in every direction")
-    r_star = np.linalg.solve(2.0 * re_s, -l_c.real)
     el = np.linalg.cholesky(w) / scaling
     linv_t = np.linalg.inv(el).T
-    m_tilde = linv_t.T @ s_c @ linv_t  # real part -scaling^2 I
-    resid = m_tilde + np.eye(s_c.shape[0])
-    g = 2.0 * (s_c @ r_star) + l_c
-    g_tilde = linv_t.T @ g
-    e_star = complex((s_c @ r_star) @ r_star + l_c @ r_star)
-    return r_star, linv_t, resid, g_tilde, e_star, el
+    resid = linv_t.T @ s_c @ linv_t + np.eye(s_c.shape[0])
+    return linv_t, resid, float(np.sum(np.log(np.diag(el))))
+
+
+def _centre(s_c: np.ndarray, l_c: np.ndarray, linv_t: np.ndarray):
+    """Centre exp((S r).r + l.r) at its real maximizer, one column of ``l_c`` each.
+
+    Returns ``(r_star, g_tilde, e_star)``: with ``r = r* + linv_t s`` the
+    linear term becomes ``g_tilde.s`` (purely imaginary) and the constant
+    ``e_star``; the quadratic is the one of :func:`_standardize`.
+    """
+    r_star = np.linalg.solve(2.0 * s_c.real, -l_c.real)
+    s_r = s_c @ r_star
+    e_star = (s_r * r_star).sum(axis=0) + (l_c * r_star).sum(axis=0)
+    return r_star, linv_t.T @ (2.0 * s_r + l_c), e_star
+
+
+def _node_blocks(order: int, dim: int, resid: np.ndarray, g: np.ndarray, chunk: int):
+    """Blocks of at most ``chunk`` tensor nodes s with log(w(s) exp((resid s).s + g.s)).
+
+    ``g`` has one column per linear phase; all columns share the nodes and
+    the quadratic phase, and the log-coefficients have one row per column.
+    With ``Re resid <= 0`` and ``g`` purely imaginary every coefficient has
+    modulus at most ``w(s) < 1``, so no sum over the nodes can overflow.
+    """
+    for start in range(0, order**dim, chunk):
+        s, lw = _tensor_nodes(order, dim, start, start + chunk)
+        quad = ((s @ resid) * s).sum(axis=1)
+        yield s, (lw + quad) + (s @ g).T
 
 
 def _oscillation_order_floor(resid: np.ndarray, rel_tol: float, degree: int = 0) -> int:
     """Order needed for geometric convergence of exp(i (resid s).s) factors.
 
     The one-dimensional error of Gauss-Hermite on exp(i a s^2) decays like
-    (a / sqrt(4 + a^2))^order; polynomial factors of total degree d shift
-    the onset by about d.
+    (a / sqrt(4 + a^2))^order.  A polynomial factor of total degree below
+    ``degree`` shifts the onset by ``degree / 2`` nodes: m nodes per
+    dimension integrate polynomials of degree 2m - 1 exactly.
     """
+    shift = degree // 2
     a = float(np.linalg.norm(resid.imag, 2))
     if a < 1e-12:
-        return degree + 4
+        return shift + 4
     rate = a / math.sqrt(4.0 + a * a)
     if rate < 0.05:
-        return degree + 8
+        return shift + 8
     extra = int(math.ceil(math.log(rel_tol * 1e-2) / math.log(rate)))
-    return degree + max(extra, 8)
-
-
-def _log_gaussian_integral(s_c: np.ndarray, l_c: np.ndarray, c_c: complex, order: int, scaling: float = 1.0) -> complex:
-    """Complex log of integral exp((S r).r + l.r + c) dr over R^dim.
-
-    The real part of S must be negative definite.  Gauss-Hermite is applied
-    after centering at the real maximizer and whitening by the Cholesky
-    factor of the decaying part; the remaining factor then has modulus at
-    most one, so the summation is overflow-free.
-    """
-    dim = s_c.shape[0]
-    _, _, resid, g_tilde, e_star, el = _standardize(s_c, l_c, scaling)
-    nodes, logw = _tensor_nodes(order, dim)
-    total = 0.0 + 0.0j
-    mref = float(np.max(logw))
-    for start in range(0, nodes.shape[0], _CHUNK):
-        s = nodes[start : start + _CHUNK]
-        lw = logw[start : start + _CHUNK]
-        phase = np.einsum("pi,ij,pj->p", s, resid, s) + s @ g_tilde
-        total += np.sum(np.exp(lw - mref + phase))
-    logdet = float(np.sum(np.log(np.diag(el))))
-    return e_star + c_c - logdet + mref + complex(np.log(total))
+    return shift + max(extra, 8)
 
 
 def _symbol_exponent(phi0: WeightForm, q: QuadraticSymbol, x):
@@ -146,12 +150,6 @@ def _symbol_exponent(phi0: WeightForm, q: QuadraticSymbol, x):
     lyb = q.b + 4.0 * (h @ x)
     c0 = q.q0 - 4.0 * phi0.value(x)
     return to_real_coords(cyy, cyybar, cybyb, ly, lyb, c0, n=n)
-
-
-def _symbol_integral_log(phi0: WeightForm, q: QuadraticSymbol, x, order: int, scaling: float) -> complex:
-    """log of integral exp(-4 Phi0(x - y) + q(y)) L(dy) for a reduced weight."""
-    s_c, l_c, c_c = _symbol_exponent(phi0, q, x)
-    return _log_gaussian_integral(s_c, l_c, c_c, order, scaling)
 
 
 def weyl_symbol_quadrature(phi0: WeightForm, q: QuadraticSymbol, x, spec: QuadratureSpec = QuadratureSpec()) -> complex:
@@ -169,18 +167,26 @@ def weyl_symbol_quadrature(phi0: WeightForm, q: QuadraticSymbol, x, spec: Quadra
         raise PreconditionViolated("quadrature oracle expects a reduced weight")
     if phi0.n > 2:
         raise PreconditionViolated("quadrature oracle is desk-scale: n <= 2")
+    s_c, l_x, c_x = _symbol_exponent(phi0, q, x)
+    _, l_0, c_0 = _symbol_exponent(phi0, q, np.zeros(phi0.n))
     # the quadratic part is shared by numerator and denominator; bump the
     # order when its oscillation would defeat the requested accuracy
-    s_probe, l_probe, _ = _symbol_exponent(phi0, q, np.zeros(phi0.n))
-    _, _, resid, _, _, _ = _standardize(s_probe, l_probe, spec.scaling)
+    linv_t, resid, _ = _standardize(s_c, spec.scaling)
     order = max(spec.order, _oscillation_order_floor(resid, spec.rel_tol))
     cap = 400 if phi0.n == 1 else 64
     if order > cap:
         raise NonConvergent("oscillation exceeds the node budget at the requested accuracy")
+    # the numerator (x) and the denominator (0) differ only in their linear
+    # phase and constant; the Jacobian cancels in the ratio
+    _, g, e_star = _centre(s_c, np.stack([l_x, l_0], axis=1), linv_t)
+    log_const = e_star + np.array([c_x, c_0])
 
     def ratio_at(m: int) -> complex:
-        num = _symbol_integral_log(phi0, q, x, m, spec.scaling)
-        den = _symbol_integral_log(phi0, q, np.zeros(phi0.n), m, spec.scaling)
+        sums = np.zeros(2, dtype=complex)
+        for _, logc in _node_blocks(m, s_c.shape[0], resid, g, _CHUNK):
+            # row by row: numpy sums a 1-D array pairwise, not a 2-D one along an axis
+            sums += [row.sum() for row in np.exp(logc)]
+        num, den = log_const + np.log(sums)
         return complex(np.exp(num - den))
 
     while True:
@@ -218,7 +224,7 @@ def _monomial_norms(order: int, kmax: int) -> np.ndarray:
     ``e_k = x^k / sqrt(2^k k!)`` are the scaled monomials of
     :func:`_fock_matrix_raw`; every term stays finite at any k.
     """
-    nodes, logw = _tensor_nodes(order, 2)
+    nodes, logw = _tensor_nodes(order, 2, 0, order**2)
     xs = math.sqrt(2.0) * (nodes[:, 0] + 1j * nodes[:, 1])  # whitened by chol(I/2)
     half_mods = 0.5 * np.abs(xs) ** 2
     out = np.empty(kmax)
@@ -236,48 +242,50 @@ def _log_scales(kmax: int) -> np.ndarray:
     return np.array([0.5 * (k * math.log(2.0) + math.lgamma(k + 1)) for k in range(kmax)])
 
 
-def _fock_exponent(q: QuadraticSymbol):
-    """Realified exponent of the matrix-element integrand q(x) - |x|^2/2."""
-    cyy, cyybar, cybyb = q.qyy, q.qyt - 0.5 * np.eye(1), q.qtt
-    return to_real_coords(cyy, cyybar, cybyb, q.a, q.b, q.q0, n=1)
+def _fock_form(q: QuadraticSymbol):
+    """The matrix-element integrand exp(q(x) - |x|^2/2), whitened and centred.
+
+    Returns ``(r_star, linv_t, resid, g_tilde, log_const)``: at
+    ``r = r* + linv_t s`` the integrand times ``dr`` is
+    ``exp(log_const - |s|^2 + (resid s).s + g_tilde.s) ds``.
+    """
+    s_c, l_c, c_c = to_real_coords(q.qyy, q.qyt - 0.5 * np.eye(1), q.qtt, q.a, q.b, q.q0, n=1)
+    linv_t, resid, logdet = _standardize(s_c)
+    r_star, g_tilde, e_star = _centre(s_c, l_c, linv_t)
+    return r_star, linv_t, resid, g_tilde, e_star + c_c - logdet
 
 
-def _fock_matrix_raw(q: QuadraticSymbol, nbasis: int, order: int) -> np.ndarray:
+def _fock_matrix_raw(q: QuadraticSymbol, nbasis: int, order: int, form=None) -> np.ndarray:
     """Entries <e^q e_k, e_j> on the model space, n = 1.
 
     ``e_k = x^k / sqrt(2^k k!)`` is built by the recurrence
     ``e_k = e_{k-1} x / sqrt(2k)``, which keeps every row finite, and the
-    sum over the nodes runs in blocks of ``_FOCK_CHUNK``.
+    sum over the nodes runs in blocks of ``_FOCK_CHUNK``.  ``form`` is
+    ``_fock_form(q)``, computed here when not given.
 
     Raises
     ------
     NonConvergent
         If an entry is not finite.
     """
-    s_c, l_c, c_c = _fock_exponent(q)
-    r_star, linv_t, resid, g_tilde, e_star, el = _standardize(s_c, l_c)
-    nodes, logw = _tensor_nodes(order, 2)
+    r_star, linv_t, resid, g_tilde, log_const = _fock_form(q) if form is None else form
     step = 1.0 / np.sqrt(2.0 * np.arange(1, nbasis))
     raw = np.zeros((nbasis, nbasis), dtype=complex)
     # rows e_k and conj(e_k) * weight over one block, reused block after block
     e_buf = np.empty((nbasis, _FOCK_CHUNK), dtype=complex)
     w_buf = np.empty_like(e_buf)
-    for start in range(0, nodes.shape[0], _FOCK_CHUNK):
-        s = nodes[start : start + _FOCK_CHUNK]
+    for s, logc in _node_blocks(order, 2, resid, g_tilde[:, None], _FOCK_CHUNK):
         rs = r_star[None, :] + s @ linv_t.T
         xs = rs[:, 0] + 1j * rs[:, 1]
-        phase = np.einsum("pi,ij,pj->p", s, resid, s) + s @ g_tilde
-        coeff = np.exp(logw[start : start + _FOCK_CHUNK] + phase)
         e, ew = e_buf[:, : xs.shape[0]], w_buf[:, : xs.shape[0]]
         e[0] = 1.0
         for k in range(1, nbasis):
             np.multiply(e[k - 1], xs, out=e[k])
             e[k] *= step[k - 1]
         np.conjugate(e, out=ew)
-        ew *= coeff
+        ew *= np.exp(logc[0])
         raw += ew @ e.T
-    logdet = float(np.sum(np.log(np.diag(el))))
-    raw *= np.exp(e_star + c_c - logdet)
+    raw *= np.exp(log_const)
     if not np.all(np.isfinite(raw)):
         raise NonConvergent(f"order {order} gives non-finite Fock matrix entries")
     return raw
@@ -294,19 +302,26 @@ def fock_matrix(q: QuadraticSymbol, nbasis: int, spec: QuadratureSpec = Quadratu
     The entries are computed on the scaled monomials ``x^k / sqrt(2^k k!)``
     and rescaled by their quadrature norms, so no power of x is formed.
 
+    The first order is the one the integrand needs: ``nbasis + 16`` nodes
+    for the basis norms, or more when the oscillation of ``exp(q)`` asks
+    for it.  Orders m and m + 12 must agree; when they do not, m becomes
+    ``min(2 m, 348)``, so that m + 12 never passes the budget of 360 nodes
+    per dimension, and the pair is tried again.
+
     Raises
     ------
     NonConvergent
-        If two successive orders disagree in Frobenius norm, an order gives
-        non-finite entries, or the basis norms miss the closed moments.
+        If two successive orders disagree in Frobenius norm at the budget,
+        an order gives non-finite entries, or the basis norms miss the
+        closed moments.
     """
     if q.n != 1:
         raise PreconditionViolated("truncated matrices are implemented for n = 1")
-    s_c, l_c, _ = _fock_exponent(q)
-    _, _, resid, _, _, _ = _standardize(s_c, l_c)
-    floor = _oscillation_order_floor(resid, spec.rel_tol, degree=2 * nbasis)
+    form = _fock_form(q)
+    # conj(e_j) e_k has total degree below 2 nbasis
+    floor = _oscillation_order_floor(form[2], spec.rel_tol, degree=2 * nbasis)
     order = max(spec.order, nbasis + 16, floor)
-    if order > 360:
+    if order + _FOCK_STEP > _FOCK_BUDGET:
         raise NonConvergent("oscillation exceeds the node budget at the requested accuracy")
     norms = _monomial_norms(order, nbasis)
     # nu_k^2 / (pi 2^(k+1) k!) = ||e_k||^2 / (2 pi), with nu_k = ||x^k||
@@ -314,17 +329,17 @@ def fock_matrix(q: QuadraticSymbol, nbasis: int, spec: QuadratureSpec = Quadratu
         raise NonConvergent("basis norms disagree with the closed Gaussian moments")
     scale = np.outer(norms, norms)
     while True:
-        mats = [_fock_matrix_raw(q, nbasis, o) / scale for o in (order, order + 12)]
+        mats = [_fock_matrix_raw(q, nbasis, o, form) / scale for o in (order, order + _FOCK_STEP)]
         diff = float(np.linalg.norm(mats[0] - mats[1]))
         ref = max(float(np.linalg.norm(mats[1])), np.finfo(float).tiny)
         if diff <= spec.rel_tol * ref:
             basis_norms = norms * np.exp(_log_scales(nbasis))
-            return FockTruncation(nbasis, mats[1], basis_norms, order + 12)
-        if 2 * order > 360:
+            return FockTruncation(nbasis, mats[1], basis_norms, order + _FOCK_STEP)
+        if order + _FOCK_STEP >= _FOCK_BUDGET:
             raise NonConvergent(
-                f"orders {order} and {order + 12} disagree by {diff / ref:.2e}"
+                f"orders {order} and {order + _FOCK_STEP} disagree by {diff / ref:.2e}"
             )
-        order *= 2
+        order = min(2 * order, _FOCK_BUDGET - _FOCK_STEP)
 
 
 def operator_norm_scan(q: QuadraticSymbol, sizes, spec: QuadratureSpec = QuadratureSpec(order=60)):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -91,6 +92,38 @@ class TestWeylSymbolQuadrature:
         with pytest.raises(NonConvergent):
             fock_matrix(qf, 50)
 
+    def test_one_point_builds_one_grid_per_order(self, monkeypatch):
+        # numerator and denominator share the standardization and the nodes
+        _, phi0, q = family(lam=0.2 + 0.3j, c=0.1, d=0.2j)
+        grids, whitenings = [], []
+        nodes, standardize = oracle._tensor_nodes, oracle._standardize
+
+        def counted_nodes(order, *args):
+            grids.append(order)
+            return nodes(order, *args)
+
+        def counted_standardize(*args):
+            whitenings.append(args)
+            return standardize(*args)
+
+        monkeypatch.setattr(oracle, "_tensor_nodes", counted_nodes)
+        monkeypatch.setattr(oracle, "_standardize", counted_standardize)
+        weyl_symbol_quadrature(phi0, q, [0.7 - 0.4j], QuadratureSpec(order=60))
+        assert len(grids) == len(set(grids)) == 2  # one converged pair of orders
+        assert len(whitenings) == 1
+
+    def test_two_dimensional_point_never_holds_the_whole_grid(self, rng):
+        # 24^4 and 34^4 nodes; the whole 34^4 grid alone takes 43 MB
+        p = random_family(rng, 2, margin=0.05, lam_box=0.15, lin_scale=0.3)
+        phi0, q = family_instance(p)
+        tracemalloc.start()
+        try:
+            weyl_symbol_quadrature(phi0, q, 0.5 * cvec(rng, 2), QuadratureSpec(order=24))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
+
     def test_rejects_unreduced_weight(self, rng):
         from bargtop import WeightForm, polarize
 
@@ -130,6 +163,7 @@ class TestFockMatrix:
         gamma = 1.0 / (1.0 - 2.0j)
         want = gamma ** (np.arange(30) + 1)
         assert np.max(np.abs(diag - want)) < 1e-12
+        assert ft.order <= 360  # converges only at the budget's last pair
         assert np.all(np.abs(diag) < 1.0)
         assert np.all(np.diff(np.abs(diag)) < 0)
 
@@ -160,9 +194,9 @@ class TestFockMatrix:
         _, _, q = family(lam=-1.0)
         nodes = oracle._tensor_nodes
 
-        def with_nan(order, dim):
-            x, logw = nodes(order, dim)
-            return x, np.where(np.arange(logw.size) == 7, np.nan, logw)
+        def with_nan(order, dim, start, stop):
+            x, logw = nodes(order, dim, start, stop)
+            return x, np.where(np.arange(start, start + logw.size) == 7, np.nan, logw)
 
         monkeypatch.setattr(oracle, "_tensor_nodes", with_nan)
         with pytest.raises(NonConvergent, match="non-finite"):
@@ -176,6 +210,39 @@ class TestFockMatrix:
         monkeypatch.setattr(oracle, "_FOCK_CHUNK", 90 * 90)
         whole = oracle._fock_matrix_raw(q, 30, 90)
         assert np.linalg.norm(chunked - whole) <= 1e-14 * np.linalg.norm(whole)
+
+    @pytest.mark.parametrize(
+        "lam, mu, c, d",
+        [
+            # compact, margin > 0.5: gamma = 0.5 exp(0.2i)
+            ((1.0 - 2.0 * np.exp(-0.2j)) / 2.0, 0.015 * np.exp(1.0j), 0.2 - 0.1j, 0.1 + 0.25j),
+            # unbounded, margin < -0.15
+            (0.15 + 0.05j, 0.008 * np.exp(2.0j), -0.15 + 0.2j, 0.25 - 0.05j),
+        ],
+        ids=["compact", "unbounded"],
+    )
+    def test_start_order_matches_a_high_order_reference(self, lam, mu, c, d):
+        # the first order the integrand needs is right, not only self-consistent
+        p, _, q = family(lam, mu, c, d)
+        assert p.hypothesis_margin > 1e-3 and abs(p.positivity_margin) > 0.15
+        ft = fock_matrix(q, 60)
+        norms = oracle._monomial_norms(320, 60)
+        ref = oracle._fock_matrix_raw(q, 60, 320) / np.outer(norms, norms)
+        assert np.linalg.norm(ft.matrix - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert ft.order <= 88
+
+    def test_standardizes_once(self, monkeypatch):
+        _, _, q = family(lam=-0.5 + 0.2j, mu=0.01, c=0.2, d=0.1j)
+        calls = []
+        standardize = oracle._standardize
+
+        def counted(*args):
+            calls.append(args)
+            return standardize(*args)
+
+        monkeypatch.setattr(oracle, "_standardize", counted)
+        fock_matrix(q, 30)
+        assert len(calls) == 1
 
 
 class TestOperatorNormScan:
@@ -219,11 +286,13 @@ class TestCriticalValueVsIntegrand:
             vc = critical_value(prob)
             p = rng.standard_normal(2)
             grid = np.linspace(-8, 8, 401)
-            best = -np.inf
-            for u in grid:
-                for v in grid:
-                    w = np.array([u, v])
-                    best = max(best, prob.objective(w, p).real)
+            # prob.objective on every grid point w = (u, v), as one array
+            ws = np.stack(np.meshgrid(grid, grid, indexing="ij"), axis=-1).reshape(-1, 2)
+            r = prob.lmap @ p + prob.r0
+            values = (0.5 * np.einsum("pi,ij,pj->p", ws, prob.m, ws) + ws @ r + prob.c0).real
+            top = int(np.argmax(values))
+            assert abs(prob.objective(ws[top], p).real - values[top]) <= 1e-12 * max(1.0, abs(values[top]))
+            best = values[top]
             got = vc.value(p[:1], p[1:]).real
             assert got >= best - 1e-9
             assert got - best <= 1e-2  # grid resolution bound
